@@ -2,7 +2,7 @@
 
 Exit codes: 0 = certificate found / success, 1 = proven no cycle (or
 invalid certificate for ``verify``), 2 = unknown (budget exhausted),
-3 = input error.
+3 = input error, 4 = internal error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_FOUND = 0
 EXIT_NONE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def parse_cycle_notation(s: str, degree: int) -> Perm:
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:  # a crash must not read as a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

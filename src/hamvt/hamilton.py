@@ -2,7 +2,9 @@
 
 The solver is the brute-force oracle for every Hamiltonicity claim in the
 library: "none" is returned only after an exhaustive search completes, and
-budget exhaustion yields the honest verdict "unknown".
+budget exhaustion yields the honest verdict "unknown".  One iterative
+depth-first engine serves cycle finding, path finding and cycle
+enumeration.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 from .graphs import Graph, structure_report
 
 DEFAULT_BUDGET = 10**9
-#: Bitmask DP is used at or below this order; backtracking beyond.
-DP_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -64,121 +64,128 @@ def jackson_condition(X: Graph) -> bool:
             and 3 * rep.regular >= X.n)
 
 
-def _cycle_dp(X: Graph) -> SolveResult:
-    """Held-Karp style reachability DP; exhaustive for small n."""
-    n = X.n
-    adj = [0] * n
-    for v in range(n):
-        for w in X.adj[v]:
-            adj[v] |= 1 << w
-    full = (1 << n) - 1
-    dp = [0] * (1 << n)  # dp[mask] = endpoint bitmask of 0-rooted paths
-    dp[1] = 1
-    nodes = 0
-    for mask in range(1, 1 << n, 2):  # only masks containing vertex 0
-        ends = dp[mask]
-        if not ends:
-            continue
-        v = 0
-        while ends:
-            bit = ends & -ends
-            ends ^= bit
-            v = bit.bit_length() - 1
-            nodes += 1
-            ext = adj[v] & ~mask
-            while ext:
-                b = ext & -ext
-                ext ^= b
-                dp[mask | b] |= b
-    closing = dp[full] & adj[0]
-    if not closing:
-        return SolveResult("none", None, nodes)
-    # deterministic reconstruction: smallest closing endpoint, then walk back
-    seq = []
-    mask = full
-    v = (closing & -closing).bit_length() - 1
-    while v != 0:
-        seq.append(v)
-        prevmask = mask ^ (1 << v)
-        cand = dp[prevmask] & adj[v]
-        v = (cand & -cand).bit_length() - 1
-        mask = prevmask
-    seq.append(0)
-    seq.reverse()
-    cert = HamiltonCertificate("cycle", tuple(seq))
-    return SolveResult("found", cert, nodes)
+class _Search:
+    """Depth-first search for Hamilton cycles or paths on an explicit stack.
 
+    ``mode`` is "cycle" or "path" (find: stop at the first hit) or "all"
+    (enumerate every Hamilton cycle).  Iterating yields each Hamilton
+    sequence found; ``nodes`` counts the vertices pushed onto the path,
+    and pushing more than ``budget`` of them raises ``_Budget``.
 
-def _cycle_backtrack(X: Graph, budget: int) -> SolveResult:
-    n = X.n
-    adj = [0] * n
-    for v in range(n):
-        for w in X.adj[v]:
-            adj[v] |= 1 << w
-    full = (1 << n) - 1
-    # lowest-degree-first start vertex, ties by index
-    start = min(range(n), key=lambda v: (len(X.adj[v]), v))
-    sbit = 1 << start
-    nodes = 0
+    Cycle modes break orientation: the cycle may close only through a
+    neighbour of the start that is larger than the first step, so every
+    Hamilton cycle is met in exactly one direction, as (s, v1, ..., vk)
+    with v1 < vk.  Find modes try the neighbour with the fewest unvisited
+    neighbours first (Warnsdorff's rule), ties by index; "all" explores
+    every branch anyway and takes candidates in index order.
+    """
 
-    def prune(v: int, visited: int) -> bool:
-        rem = full & ~visited
-        vbit = 1 << v
-        # every unvisited vertex needs two usable connections
-        ctx = rem | vbit | sbit
-        m = rem
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if (adj[u] & ctx & ~b).bit_count() < 2:
+    def __init__(self, X: Graph, mode: str, budget: int):
+        self.X, self.mode, self.budget = X, mode, budget
+        self.nodes = 0
+
+    def __iter__(self):
+        n = self.X.n
+        adj = [0] * n
+        for v in range(n):
+            for w in self.X.adj[v]:
+                adj[v] |= 1 << w
+        full = (1 << n) - 1
+        cyclic = self.mode != "path"
+        ordered = self.mode != "all"
+
+        def fewest(cand: int, rem: int) -> int:
+            """The bit of the candidate with fewest unvisited neighbours."""
+            best = key = None
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                k = (adj[b.bit_length() - 1] & rem).bit_count()
+                if key is None or k < key:
+                    best, key = b, k
+            return best
+
+        def dead(v: int, rem: int) -> bool:
+            """No Hamilton completion of a path ending at v can exist."""
+            if cyclic and not closers & rem:
                 return True
-        if adj[start] & rem == 0:
-            return True
-        # rem + v must be connected
-        seen = vbit
-        frontier = vbit
-        target = rem | vbit
-        while frontier:
-            nxt = 0
+            if not rem & (rem - 1):  # one vertex left: it must follow v
+                return not adj[v] & rem
+            # one breadth-first sweep from v over the unvisited vertices
+            # checks that they stay connected to v and counts each one's
+            # usable neighbours (the unvisited, v, and the start if the
+            # cycle may close through it) in the bitmasks ones and twos
+            ends = rem | 1 << v
+            seen = frontier = 1 << v
+            ones, twos = closers, 0
             while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= adj[b.bit_length() - 1] & target & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen != target
-
-    path = [start]
-
-    def search(v: int, visited: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        if visited == full:
-            return bool(adj[v] & sbit)
-        if prune(v, visited):
-            return False
-        cand = adj[v] & ~visited
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            u = b.bit_length() - 1
-            path.append(u)
-            if search(u, visited | b):
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    a = adj[b.bit_length() - 1]
+                    twos |= ones & a
+                    ones |= a
+                    nxt |= a
+                frontier = nxt & ends & ~seen
+                seen |= frontier
+            if seen != ends:
                 return True
-            path.pop()
-        return False
+            # a cycle needs two usable neighbours at every unvisited
+            # vertex; a path lets one vertex, its far end, have only one
+            short = rem & ~twos
+            return bool(short and (cyclic or short & ~ones
+                                   or short & (short - 1)))
 
+        if self.mode == "all":
+            start = 0
+        else:
+            start = min(range(n), key=lambda v: (len(self.X.adj[v]), v))
+        # where the cycle may close; a path never closes
+        closers = adj[start] if cyclic else 0
+        path: list[int] = []
+        visited = 0
+        nodes, budget = self.nodes, self.budget
+        # each frame is the bitmask of candidates not yet tried there
+        stack = [1 << start if cyclic else full]
+        while stack:
+            frame = stack[-1]
+            if not frame:
+                stack.pop()
+                if path:
+                    visited ^= 1 << path.pop()
+                continue
+            b = fewest(frame, full & ~visited) if ordered else frame & -frame
+            stack[-1] = frame ^ b
+            nodes += 1
+            if nodes > budget:
+                self.nodes = nodes
+                raise _Budget
+            v = b.bit_length() - 1
+            path.append(v)
+            visited |= b
+            if cyclic and len(path) == 2:
+                closers = adj[start] >> (v + 1) << (v + 1)
+            rem = full & ~visited
+            if rem and not dead(v, rem):
+                stack.append(adj[v] & rem)
+                continue
+            if not rem and (not cyclic or closers & b):
+                self.nodes = nodes
+                yield tuple(path)
+            path.pop()
+            visited ^= b
+        self.nodes = nodes
+
+
+def _first(search: _Search, kind: str) -> SolveResult:
     try:
-        if search(start, sbit):
-            return SolveResult("found",
-                               HamiltonCertificate("cycle", tuple(path)),
-                               nodes)
-        return SolveResult("none", None, nodes)
+        seq = next(iter(search), None)
     except _Budget:
-        return SolveResult("unknown", None, nodes)
+        return SolveResult("unknown", None, search.nodes)
+    if seq is None:
+        return SolveResult("none", None, search.nodes)
+    return SolveResult("found", HamiltonCertificate(kind, seq), search.nodes)
 
 
 def find_hamilton_cycle(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -186,120 +193,23 @@ def find_hamilton_cycle(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     n = X.n
     if n < 3 or not X.is_connected() or min(X.degree(v) for v in range(n)) < 2:
         return SolveResult("none", None, 0)
-    if n <= DP_LIMIT:
-        return _cycle_dp(X)
-    return _cycle_backtrack(X, budget)
+    return _first(_Search(X, "cycle", budget), "cycle")
 
 
 def find_hamilton_path(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exhaustive deterministic Hamilton path search."""
-    n = X.n
-    if n == 0:
+    if X.n == 0 or not X.is_connected():
         return SolveResult("none", None, 0)
-    if n == 1:
-        return SolveResult("found", HamiltonCertificate("path", (0,)), 0)
-    if not X.is_connected():
-        return SolveResult("none", None, 0)
-    adj = [0] * n
-    for v in range(n):
-        for w in X.adj[v]:
-            adj[v] |= 1 << w
-    full = (1 << n) - 1
-    nodes = 0
-
-    def prune(v: int, visited: int) -> bool:
-        rem = full & ~visited
-        vbit = 1 << v
-        ctx = rem | vbit
-        # at most one unvisited vertex may be the far endpoint (one link)
-        slack = 1
-        m = rem
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            c = (adj[u] & ctx & ~b).bit_count()
-            if c == 0:
-                return True
-            if c == 1:
-                slack -= 1
-                if slack < 0:
-                    return True
-        seen = vbit
-        frontier = vbit
-        target = rem | vbit
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= adj[b.bit_length() - 1] & target & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen != target
-
-    path: list[int] = []
-
-    def search(v: int, visited: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _Budget
-        if visited == full:
-            return True
-        if prune(v, visited):
-            return False
-        cand = adj[v] & ~visited
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            u = b.bit_length() - 1
-            path.append(u)
-            if search(u, visited | b):
-                return True
-            path.pop()
-        return False
-
-    try:
-        for s in range(n):
-            path[:] = [s]
-            if search(s, 1 << s):
-                return SolveResult("found",
-                                   HamiltonCertificate("path", tuple(path)),
-                                   nodes)
-        return SolveResult("none", None, nodes)
-    except _Budget:
-        return SolveResult("unknown", None, nodes)
+    return _first(_Search(X, "path", budget), "path")
 
 
 def iter_hamilton_cycles(X: Graph):
     """Yield every Hamilton cycle once, as a tuple starting at vertex 0
     with second entry smaller than last (orientation canonicalized).
 
-    Intended for small graphs (quotients); no budget.
+    Intended for small graphs (quotients).  The search is charged to
+    ``DEFAULT_BUDGET`` nodes and raises rather than stop early.
     """
-    n = X.n
-    if n < 3 or not X.is_connected():
+    if X.n < 3 or not X.is_connected():
         return
-    adj = [0] * n
-    for v in range(n):
-        for w in X.adj[v]:
-            adj[v] |= 1 << w
-    full = (1 << n) - 1
-    path = [0]
-
-    def rec(v: int, visited: int):
-        if visited == full:
-            if adj[v] & 1 and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        cand = adj[v] & ~visited
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            u = b.bit_length() - 1
-            path.append(u)
-            yield from rec(u, visited | b)
-            path.pop()
-
-    yield from rec(0, 1)
+    yield from _Search(X, "all", DEFAULT_BUDGET)

@@ -205,10 +205,14 @@ def lift_hamilton(X: Graph, rho: Perm, p: int) -> HamiltonCertificate | None:
                     return cert
         return None
 
+    # sorted voltages per directed quotient edge, built once per call
+    table = {}
+    for (a, b), js in volt.cross.items():
+        table[a, b] = sorted(js)
+        table[b, a] = sorted((-j) % p for j in js)
     Q = quotient_graph(dec, volt)
     for cycle in iter_hamilton_cycles(Q):
-        options = [sorted(volt.voltages(cycle[i], cycle[(i + 1) % len(cycle)]))
-                   for i in range(len(cycle))]
+        options = [table[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
         count = 0
         for choice in product(*options):
             count += 1

@@ -69,3 +69,32 @@ def naive_hamilton_path(X: Graph) -> bool:
         if all(X.has_edge(seq[i], seq[i + 1]) for i in range(n - 1)):
             return True
     return False
+
+
+def held_karp_cycle(X: Graph) -> bool:
+    """Held-Karp reachability DP over vertex subsets, O(2^n n^2).
+
+    dp[mask] is the bitmask of endpoints of paths from vertex 0 that
+    visit exactly ``mask``; a Hamilton cycle exists iff some endpoint of
+    the full mask is adjacent to 0.
+    """
+    n = X.n
+    if n < 3:
+        return False
+    adj = [0] * n
+    for v in range(n):
+        for w in X.adj[v]:
+            adj[v] |= 1 << w
+    dp = [0] * (1 << n)
+    dp[1] = 1
+    for mask in range(1, 1 << n, 2):  # only masks containing vertex 0
+        ends = dp[mask]
+        while ends:
+            bit = ends & -ends
+            ends ^= bit
+            ext = adj[bit.bit_length() - 1] & ~mask
+            while ext:
+                b = ext & -ext
+                ext ^= b
+                dp[mask | b] |= b
+    return bool(dp[(1 << n) - 1] & adj[0])

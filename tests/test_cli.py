@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from hamvt import Perm, catalog
-from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_NONE, EXIT_UNKNOWN, main,
-                       parse_cycle_notation)
+from hamvt import HamiltonCertificate, Perm, catalog, verify_hamilton
+from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NONE,
+                       EXIT_UNKNOWN, main, parse_cycle_notation)
 from hamvt.pipeline import MalformedInput
 
 
@@ -120,3 +120,21 @@ class TestCommands:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "--graph", "/nonexistent.json"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [[], ["--path"]])
+    def test_solve_long_cycle(self, flags, capsys):
+        # deeper than the interpreter's default recursion limit
+        name = "circulant:1100:1"
+        assert main(["solve", *flags, "--catalog", name]) == EXIT_FOUND
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "found"
+        cert = HamiltonCertificate.from_json(out["certificate"])
+        assert verify_hamilton(catalog(name), cert)
+
+    def test_internal_error_is_not_a_verdict(self, monkeypatch, capsys):
+        def crash(X, budget):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr("hamvt.cli.find_hamilton_cycle", crash)
+        assert main(["solve", "--catalog", "petersen"]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err

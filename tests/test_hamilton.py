@@ -1,12 +1,17 @@
 """Exact solver against the permutation-enumeration oracle."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from hamvt import (Graph, HamiltonCertificate, find_hamilton_cycle,
                    find_hamilton_path, iter_hamilton_cycles,
-                   jackson_condition, verify_hamilton)
+                   jackson_condition, orbital_graph, suborbits,
+                   verify_hamilton)
+from hamvt.fixtures import s6_on_s4_cosets
 from hamvt.products import catalog
-from oracles import naive_hamilton_cycle, naive_hamilton_path
+from oracles import (held_karp_cycle, naive_hamilton_cycle,
+                     naive_hamilton_path)
 
 SMALL_CORPUS = [
     "petersen", "crown:3", "crown:4", "crown:5",
@@ -17,6 +22,8 @@ SMALL_CORPUS = [
     "complete_bipartite:3:3", "complete_bipartite:2:4",
     "complete_bipartite:3:4",
 ]
+#: Graphs of order up to 16 beyond SMALL_CORPUS for the Held-Karp oracle.
+HELD_KARP_EXTRA = ["circulant:14:2,7", "prism:8"]
 
 
 class TestVerify:
@@ -69,6 +76,10 @@ class TestSolver:
         X = catalog("truncated_petersen")
         assert find_hamilton_cycle(X, budget=5).status == "unknown"
 
+    def test_path_budget_exhaustion_returns_unknown(self):
+        res = find_hamilton_path(catalog("petersen"), budget=3)
+        assert (res.status, res.nodes) == ("unknown", 4)
+
     @pytest.mark.parametrize("name", SMALL_CORPUS)
     def test_soundness(self, name):
         X = catalog(name)
@@ -88,14 +99,12 @@ class TestSolver:
         assert (find_hamilton_path(X).status == "found") == \
             naive_hamilton_path(X)
 
-    def test_both_engines_agree_near_dp_limit(self):
-        # same verdicts from the DP (n <= 16) and backtracking paths
-        from hamvt.hamilton import _cycle_backtrack, _cycle_dp
-        for name in ["petersen", "crown:4", "complete_bipartite:3:4",
-                     "circulant:14:2,7", "prism:8"]:
-            X = catalog(name)
-            assert X.n <= 16
-            assert _cycle_dp(X).status == _cycle_backtrack(X, 10**9).status
+    @pytest.mark.parametrize("name", SMALL_CORPUS + HELD_KARP_EXTRA)
+    def test_matches_held_karp_oracle(self, name):
+        X = catalog(name)
+        assert X.n <= 16
+        assert (find_hamilton_cycle(X).status == "found") == \
+            held_karp_cycle(X)
 
 
 class TestJackson:
@@ -126,3 +135,41 @@ class TestIterCycles:
         assert len(seen) == 12  # (5-1)!/2
         for cyc in seen:
             assert verify_hamilton(K5, HamiltonCertificate("cycle", cyc))
+
+    @pytest.mark.parametrize(
+        "name", [n for n in SMALL_CORPUS if catalog(n).n <= 8])
+    def test_matches_permutation_enumeration(self, name):
+        X = catalog(name)
+        want = {(0,) + rest for rest in permutations(range(1, X.n))
+                if rest[0] < rest[-1]
+                and all(X.has_edge(a, b)
+                        for a, b in zip((0,) + rest, rest + (0,)))}
+        got = list(iter_hamilton_cycles(X))
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+class TestNodeCounts:
+    """Search-node counts do not depend on the machine, so they are pinned."""
+
+    def test_s6_orbital_scan(self):
+        A = s6_on_s4_cosets().group
+        tbl = suborbits(A, 0)
+        triv = tbl.trivial_index()
+        classes = sorted({tuple(sorted({i, tbl.pairing[i]}))
+                          for i in range(len(tbl.suborbits)) if i != triv})
+        nodes = []
+        for r in range(1, len(classes) + 1):
+            for combo in combinations(classes, r):
+                og = orbital_graph(A, 0, [i for cl in combo for i in cl])
+                if not og.connected:
+                    continue
+                res = find_hamilton_cycle(og.graph)
+                assert res.status == "found"
+                assert verify_hamilton(og.graph, res.certificate)
+                nodes.append(res.nodes)
+        assert len(nodes) == 28
+        assert sum(nodes) <= 10_000 and max(nodes) <= 1_000
+
+    def test_coxeter_none_proof(self):
+        res = find_hamilton_cycle(catalog("coxeter"))
+        assert res.status == "none" and res.nodes < 10_510
