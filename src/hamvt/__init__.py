@@ -17,8 +17,7 @@ from .orbital import (EmptySelection, OrbitalGraph, SuborbitTable,
                       block_quotient, orbital_graph, suborbits)
 from .perms import (BlockSystem, CosetAction, NotTransitive, Perm, PermGroup,
                     SubgroupNotContained, block_systems, coset_action,
-                    find_semiregular, group_order, minimal_block, orbits,
-                    perm_order, point_stabilizer)
+                    find_semiregular, minimal_block, point_stabilizer)
 from .pipeline import (AnalysisReport, GroupDegreeMismatch,
                        GroupNotAutomorphisms, MalformedInput, analyze,
                        graph_from_json, group_from_json)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .gf2k import (DegreeOutOfRange, count_eq2, field_make,
@@ -21,7 +20,9 @@ from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
 from .orbital import orbital_graph, suborbits
 from .perms import SEMIREGULAR_SEED, Perm, PermGroup
 from .pipeline import (GroupDegreeMismatch, GroupNotAutomorphisms,
-                       MalformedInput, analyze, graph_from_json)
+                       MalformedInput, analyze, graph_from_json,
+                       group_from_json)
+from .pipeline import parse_cycle_notation  # noqa: F401  (re-exported)
 from .products import BadParams, UnknownName, catalog, catalog_gens
 
 EXIT_FOUND = 0
@@ -31,25 +32,6 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def parse_cycle_notation(s: str, degree: int) -> Perm:
-    """Parse "(0 1 2)(3 4)" into a permutation of the given degree."""
-    images = list(range(degree))
-    body = s.strip()
-    if body in ("", "()"):
-        return Perm(tuple(images))
-    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", body):
-        raise MalformedInput(f"bad cycle notation: {s!r}")
-    for cyc in re.findall(r"\(([^()]*)\)", body):
-        pts = [int(x) for x in re.split(r"[\s,]+", cyc.strip()) if x]
-        if len(set(pts)) != len(pts):
-            raise MalformedInput(f"repeated point in cycle {cyc!r}")
-        if any(not 0 <= x < degree for x in pts):
-            raise MalformedInput("cycle point out of range")
-        for i, x in enumerate(pts):
-            images[x] = pts[(i + 1) % len(pts)]
-    return Perm(tuple(images))
-
-
 def _load_json(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
@@ -57,21 +39,8 @@ def _load_json(path: str) -> dict:
 
 def _load_group(path: str) -> tuple[int, list[Perm]]:
     d = _load_json(path)
-    try:
-        degree = int(d["degree"])
-        raw = d["generators"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedInput(f"bad group JSON: {e}") from None
-    gens = []
-    for entry in raw:
-        if isinstance(entry, str):
-            gens.append(parse_cycle_notation(entry, degree))
-        else:
-            g = Perm.from_images(entry)
-            if g.degree != degree:
-                raise MalformedInput("generator degree mismatch")
-            gens.append(g)
-    return degree, gens
+    gens = group_from_json(d)
+    return int(d["degree"]), gens
 
 
 def _load_graph(args) -> Graph:

@@ -10,15 +10,11 @@ zero to p vertex-disjoint k-cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .graphs import Graph
 from .hamilton import HamiltonCertificate, iter_hamilton_cycles, verify_hamilton
 from .perms import Perm
-
-#: Cap on voltage-choice branches per quotient cycle.
-CHOICE_CAP = 10**6
-
 
 class NotSemiregular(ValueError):
     """Element is not m cycles of length exactly p."""
@@ -63,7 +59,10 @@ class VoltageAssignment:
     internal: dict[int, frozenset[int]]
 
     def voltages(self, a: int, b: int) -> frozenset[int]:
-        """Voltage set for the traversal a -> b (sign-adjusted)."""
+        """Voltage set for the traversal a -> b (sign-adjusted); a == b
+        gives the internal steps of cell a."""
+        if a == b:
+            return self.internal[a]
         if a < b:
             return self.cross.get((a, b), frozenset())
         return frozenset((-j) % self.p
@@ -163,65 +162,37 @@ def lifted_components(dec: SemiregularDecomposition, volt: VoltageAssignment,
     return out
 
 
-def _lift_sequence(dec: SemiregularDecomposition, cycle, choice,
-                   rounds: int) -> tuple[int, ...]:
-    seq = []
-    e = 0
-    for _ in range(rounds):
-        for idx in range(len(cycle)):
-            seq.append(dec.vertex(cycle[idx], e))
-            e = (e + choice[idx]) % dec.p
-    return tuple(seq)
-
-
 def lift_hamilton(X: Graph, rho: Perm, p: int) -> HamiltonCertificate | None:
     """Hamilton cycle of X by lifting a quotient cycle, if one exists.
 
-    Enumerates Hamilton cycles of the simple quotient and branches over
-    voltage choices seeking nonzero net voltage; m = 2 uses a pair of
-    distinct parallel voltages, m = 1 any internal step.
+    p must be prime.  The quotient cycles are the closed walk (0,) for
+    m = 1, (0, 1) for m = 2 and the Hamilton cycles of the simple
+    quotient for m >= 3.  Per cycle only the first two voltage choices
+    in product order are tested: they differ on the last edge alone, so
+    their net voltages differ, and both are 0 only when every edge of
+    the cycle carries a single voltage.  A nonzero net voltage lifts to
+    a Hamilton cycle because p is prime.
     """
     dec = decompose(X, rho, p)
     volt = voltage_assignment(X, dec)
-
-    if dec.m == 1:
-        steps = sorted(volt.internal[0] - {0})
-        if not steps:
-            return None
-        j = steps[0]
-        seq = tuple(dec.vertex(0, (i * j) % p) for i in range(p))
-        cert = HamiltonCertificate("cycle", seq)
-        return cert if verify_hamilton(X, cert) else None
-
-    if dec.m == 2:
-        vs = sorted(volt.voltages(0, 1))
-        for j1 in vs:
-            for j2 in vs:
-                if (j1 - j2) % p == 0:
-                    continue
-                seq = _lift_sequence(dec, (0, 1), (j1, (-j2) % p), p)
-                cert = HamiltonCertificate("cycle", seq)
-                if verify_hamilton(X, cert):
-                    return cert
-        return None
-
     # sorted voltages per directed quotient edge, built once per call
-    table = {}
+    table = {(a, a): sorted(js) for a, js in volt.internal.items()}
     for (a, b), js in volt.cross.items():
         table[a, b] = sorted(js)
         table[b, a] = sorted((-j) % p for j in js)
-    Q = quotient_graph(dec, volt)
-    for cycle in iter_hamilton_cycles(Q):
+    if dec.m == 1:
+        cycles = [(0,)]
+    elif dec.m == 2:
+        cycles = [(0, 1)] if (0, 1) in volt.cross else []
+    else:
+        cycles = iter_hamilton_cycles(quotient_graph(dec, volt))
+    for cycle in cycles:
         options = [table[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-        count = 0
-        for choice in product(*options):
-            count += 1
-            if count > CHOICE_CAP:
-                break
+        for choice in islice(product(*options), 2):
             if sum(choice) % p == 0:
                 continue
-            seq = _lift_sequence(dec, cycle, choice, p)
-            cert = HamiltonCertificate("cycle", seq)
+            comps = lifted_components(dec, volt, cycle, choice)
+            cert = HamiltonCertificate("cycle", comps[0])
             if verify_hamilton(X, cert):
                 return cert
     return None

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 #: Seed for the randomized search for semiregular elements.
 SEMIREGULAR_SEED = 1729
-#: Random-word budget before falling back to exhaustive scan.
+#: Random words tried in groups too large to scan.
 SEMIREGULAR_WORDS = 10_000
 SEMIREGULAR_WORD_LEN = 20
-#: Exhaustive fallback is attempted only below this group order.
+#: Groups up to this order are scanned element by element instead.
 SEMIREGULAR_EXHAUSTIVE_CAP = 10**6
-#: Subgroups up to this order are fully enumerated for coset identification.
-COSET_ENUM_CAP = 10**5
 
 
 class NotTransitive(ValueError):
@@ -109,11 +106,6 @@ class Perm:
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
-
-
-def perm_order(g: Perm) -> int:
-    """Least k >= 1 with g^k = identity (lcm of cycle lengths)."""
-    return g.order()
 
 
 class _Chain:
@@ -296,16 +288,6 @@ class PermGroup:
         return g
 
 
-def orbits(G: PermGroup) -> list[list[int]]:
-    """Orbit partition of the group's natural action."""
-    return G.orbits()
-
-
-def group_order(G: PermGroup) -> int:
-    """Exact group order via the stabilizer chain."""
-    return G.order()
-
-
 def point_stabilizer(G: PermGroup, v: int) -> PermGroup:
     """Stabilizer G_v, computed from a chain rebased to start at v."""
     relabel = list(range(G.degree))
@@ -413,24 +395,23 @@ def find_semiregular(G: PermGroup, p: int,
                      seed: int = SEMIREGULAR_SEED) -> Perm | None:
     """Search for an element with n/p cycles of length exactly p.
 
-    Seeded random words first, then an exhaustive scan for small groups.
-    ``None`` is certain when p does not divide the group order, and
-    otherwise means the search budget was exhausted.
+    Groups of order at most ``SEMIREGULAR_EXHAUSTIVE_CAP`` are scanned
+    element by element, so ``None`` proves that no such element exists;
+    larger groups get ``SEMIREGULAR_WORDS`` seeded random words, and
+    ``None`` then only means none was found.  ``None`` is also certain
+    when p fails to divide the degree or the group order.
     """
-    if G.degree % p:
+    if G.degree % p or G.order() % p:
         return None
-    if G.order() % p:
-        return None
-    rng = random.Random(seed)
-    for _ in range(SEMIREGULAR_WORDS):
-        h = _semiregular_from(G.random_element(rng), p)
+    if G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP:
+        candidates = G.elements()
+    else:
+        rng = random.Random(seed)
+        candidates = (G.random_element(rng) for _ in range(SEMIREGULAR_WORDS))
+    for g in candidates:
+        h = _semiregular_from(g, p)
         if h is not None:
             return h
-    if G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP:
-        for g in G.elements():
-            h = _semiregular_from(g, p)
-            if h is not None:
-                return h
     return None
 
 
@@ -471,17 +452,10 @@ def coset_action(G: PermGroup, Hgens) -> CosetAction:
     for h in Hgens:
         if not G.contains(h):
             raise SubgroupNotContained("subgroup generator outside the group")
-    H = PermGroup(G.degree, Hgens)
-    h_order = H.order()
+    Hchain = PermGroup(G.degree, Hgens).chain
 
-    if h_order <= COSET_ENUM_CAP:
-        helems = sorted(H.elements(), key=lambda e: e.images)
-
-        def key(g: Perm) -> tuple[int, ...]:
-            return min((h * g).images for h in helems)
-    else:
-        def key(g: Perm) -> tuple[int, ...]:
-            return _min_coset_rep(H.chain, g)
+    def key(g: Perm) -> tuple[int, ...]:
+        return _min_coset_rep(Hchain, g)
 
     reps: list[Perm] = [Perm.identity(G.degree)]
     index: dict[tuple[int, ...], int] = {key(reps[0]): 0}

@@ -9,6 +9,7 @@ condition holds, (5) run the exact solver within budget.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .graphs import Graph, structure_report
@@ -18,7 +19,6 @@ from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
 from .lift import lift_hamilton
 from .perms import (SEMIREGULAR_SEED, Perm, PermGroup, block_systems,
                     find_semiregular)
-from .products import catalog
 
 
 class MalformedInput(ValueError):
@@ -80,7 +80,27 @@ def _primes(n: int) -> list[int]:
 
 
 def _is_truncation_exception(X: Graph) -> bool:
-    return X == catalog("truncated_petersen")
+    """Whether X is the truncated Petersen graph, under any labelling.
+
+    X must be cubic on 30 vertices with every vertex in exactly one
+    triangle, and contracting the triangles must give a simple cubic
+    graph on 10 vertices of girth 5: Petersen is the only such graph.
+    """
+    if X.n != 30 or any(X.degree(v) != 3 for v in range(X.n)):
+        return False
+    tri_of = []
+    for v in range(X.n):
+        # each triangle is named by its least vertex, min(v, a) as a < b
+        tris = [min(v, a) for a in X.adj[v] for b in X.adj[v]
+                if a < b and X.has_edge(a, b)]
+        if len(tris) != 1:
+            return False
+        tri_of.append(tris[0])
+    index = {t: i for i, t in enumerate(sorted(set(tri_of)))}
+    # the 15 edges outside the triangles; a repeated pair collapses
+    edges = {tuple(sorted((index[tri_of[u]], index[tri_of[w]])))
+             for u, w in X.edges() if tri_of[u] != tri_of[w]}
+    return len(edges) == 15 and Graph.from_edges(10, edges).girth() == 5
 
 
 def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
@@ -183,11 +203,32 @@ def graph_from_json(d: dict) -> Graph:
         raise MalformedInput(str(e)) from None
 
 
+def parse_cycle_notation(s: str, degree: int) -> Perm:
+    """Parse "(0 1 2)(3 4)" into a permutation of the given degree."""
+    images = list(range(degree))
+    body = s.strip()
+    if body in ("", "()"):
+        return Perm(tuple(images))
+    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", body):
+        raise MalformedInput(f"bad cycle notation: {s!r}")
+    for cyc in re.findall(r"\(([^()]*)\)", body):
+        pts = [int(x) for x in re.split(r"[\s,]+", cyc.strip()) if x]
+        if len(set(pts)) != len(pts):
+            raise MalformedInput(f"repeated point in cycle {cyc!r}")
+        if any(not 0 <= x < degree for x in pts):
+            raise MalformedInput("cycle point out of range")
+        for i, x in enumerate(pts):
+            images[x] = pts[(i + 1) % len(pts)]
+    return Perm(tuple(images))
+
+
 def group_from_json(d: dict) -> list[Perm]:
-    """Ingest {"degree": n, "generators": [[..], ...]}."""
+    """Ingest {"degree": n, "generators": [...]}; each generator is an
+    image list or a cycle-notation string such as "(0 1 2)(3 4)"."""
     try:
         n = int(d["degree"])
-        gens = [Perm.from_images(images) for images in d["generators"]]
+        gens = [parse_cycle_notation(g, n) if isinstance(g, str)
+                else Perm.from_images(g) for g in d["generators"]]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad group JSON: {e}") from None
     for g in gens:

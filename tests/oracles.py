@@ -27,6 +27,11 @@ def naive_closure(degree: int, gens) -> set[Perm]:
     return elems
 
 
+def enumerated_coset_key(helems, g: Perm) -> tuple[int, ...]:
+    """Least image tuple over the coset H*g, by listing every h in H."""
+    return min((h * g).images for h in helems)
+
+
 def naive_minimal_block(degree: int, gens, a: int, b: int) -> set[int]:
     """Smallest block containing {a, b}: check every subset of points."""
     elems = naive_closure(degree, gens)

@@ -100,12 +100,14 @@ class TestDichotomy:
         volt = voltage_assignment(X, dec)
         Q = quotient_graph(dec, volt)
         checked = 0
+        liftable = False
         for cyc in iter_hamilton_cycles(Q):
             k = len(cyc)
             opts = [sorted(volt.voltages(cyc[i], cyc[(i + 1) % k]))
                     for i in range(k)]
             for choice in iproduct(*opts):
                 net = cycle_voltage(dec, volt, cyc, choice)
+                liftable = liftable or net % p != 0
                 comps = lifted_components(dec, volt, cyc, choice)
                 if net % p:
                     assert len(comps) == 1 and len(comps[0]) == k * p
@@ -118,6 +120,8 @@ class TestDichotomy:
                     for a, b in zip(comp, comp[1:] + comp[:1]):
                         assert X.has_edge(a, b)
                 checked += 1
+        # lift_hamilton tries two choices per cycle; that must be exact
+        assert (lift_hamilton(X, rho, p) is not None) == liftable
         return checked
 
     def test_prism_and_small_circulants(self):

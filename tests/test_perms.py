@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hamvt import (NotTransitive, Perm, PermGroup, SubgroupNotContained,
-                   block_systems, coset_action, find_semiregular, group_order,
-                   minimal_block, orbits, perm_order, point_stabilizer)
-from oracles import naive_closure, naive_minimal_block
+                   block_systems, coset_action, find_semiregular,
+                   minimal_block, point_stabilizer)
+from hamvt.perms import _min_coset_rep
+from oracles import enumerated_coset_key, naive_closure, naive_minimal_block
 
 
 def perm_st(n):
@@ -18,14 +19,14 @@ def perm_st(n):
 
 class TestPerm:
     def test_identity_order(self):
-        assert perm_order(Perm.identity(5)) == 1
+        assert Perm.identity(5).order() == 1
 
     def test_six_cycle(self):
-        assert perm_order(Perm((1, 2, 3, 4, 5, 0))) == 6
+        assert Perm((1, 2, 3, 4, 5, 0)).order() == 6
 
     def test_mixed_cycle_type(self):
         g = Perm((1, 0, 3, 4, 2))  # (0 1)(2 3 4)
-        assert perm_order(g) == 6
+        assert g.order() == 6
         h = Perm.identity(5)
         for _ in range(6):
             h = h * g
@@ -81,7 +82,7 @@ class TestGroup:
     def test_order_matches_naive_closure(self, name):
         n, gens = SMALL_GROUPS[name]
         G = PermGroup(n, gens)
-        assert group_order(G) == len(naive_closure(n, gens))
+        assert G.order() == len(naive_closure(n, gens))
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
     def test_membership_matches_naive_closure(self, name):
@@ -97,17 +98,17 @@ class TestGroup:
             assert G.contains(g) == (g in elems)
 
     def test_known_orders(self):
-        assert group_order(PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])) == 6
-        assert group_order(
-            PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((0, 4, 3, 2, 1))])) == 10
-        assert group_order(
-            PermGroup(4, [Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))])) == 24
+        assert PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))]).order() == 6
+        assert PermGroup(
+            5, [Perm((1, 2, 3, 4, 0)), Perm((0, 4, 3, 2, 1))]).order() == 10
+        assert PermGroup(
+            4, [Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))]).order() == 24
 
     def test_orbits(self):
-        assert orbits(PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])) == [
+        assert PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))]).orbits() == [
             list(range(6))]
-        assert orbits(PermGroup(6, [])) == [[i] for i in range(6)]
-        assert orbits(PermGroup(6, [Perm((1, 0, 3, 2, 5, 4))])) == [
+        assert PermGroup(6, []).orbits() == [[i] for i in range(6)]
+        assert PermGroup(6, [Perm((1, 0, 3, 2, 5, 4))]).orbits() == [
             [0, 1], [2, 3], [4, 5]]
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
@@ -182,6 +183,18 @@ class TestSemiregular:
         S3 = PermGroup(3, [Perm((1, 0, 2)), Perm((1, 2, 0))])
         assert find_semiregular(S3, 5) is None
 
+    @pytest.mark.parametrize("name", ["petersen", "truncated_petersen"])
+    def test_small_group_is_scanned_not_sampled(self, name, monkeypatch):
+        from hamvt import catalog_gens
+
+        def no_words(self, rng):
+            raise AssertionError("random word drawn for a scannable group")
+
+        monkeypatch.setattr(PermGroup, "random_element", no_words)
+        G = PermGroup(10 if name == "petersen" else 30, catalog_gens(name))
+        # every involution of S_5 fixes a vertex of both graphs
+        assert find_semiregular(G, 2) is None
+
     def test_output_always_semiregular(self):
         for name, (n, gens) in SMALL_GROUPS.items():
             G = PermGroup(n, gens)
@@ -220,6 +233,23 @@ class TestCosetAction:
         Z5 = PermGroup(5, [Perm((1, 2, 3, 4, 0))])
         with pytest.raises(SubgroupNotContained):
             coset_action(Z5, [Perm((0, 2, 1, 3, 4))])
+
+    @pytest.mark.parametrize("fixture", ["s6_on_s4", "psl2_16"])
+    def test_chain_key_matches_enumerated_key(self, fixture):
+        from hamvt import fixtures
+        if fixture == "s6_on_s4":
+            G = PermGroup(6, fixtures.s6_gens())
+            Hgens = fixtures.s4_in_s6_gens()
+        else:
+            G = PermGroup(17, fixtures.psl2_16_gens()[1])
+            Hgens = fixtures.psl2_16_h_gens()
+        H = PermGroup(G.degree, Hgens)
+        helems = list(H.elements())
+        rng = random.Random(5)
+        for _ in range(40):
+            g = G.random_element(rng)
+            assert _min_coset_rep(H.chain, g) == \
+                enumerated_coset_key(helems, g)
 
     def test_push_is_homomorphism(self):
         S4 = PermGroup(4, [Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))])

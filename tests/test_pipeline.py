@@ -1,10 +1,14 @@
 """Strategy-cascade analysis reports."""
 
+import random
+
 import pytest
 
 from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
                    MalformedInput, Perm, analyze, catalog, catalog_gens,
-                   graph_from_json, group_from_json, verify_hamilton)
+                   graph_from_json, group_from_json, truncate_cubic,
+                   verify_hamilton)
+from hamvt.pipeline import _is_truncation_exception
 
 
 class TestAnalyze:
@@ -34,6 +38,21 @@ class TestAnalyze:
     def test_exception_flag_only_for_the_truncation(self):
         assert not analyze(catalog("petersen"),
                            catalog_gens("petersen")).exception_flag
+
+    def test_exception_flag_ignores_labelling(self):
+        X = catalog("truncated_petersen")
+        rng = random.Random(31)
+        for _ in range(5):
+            relabel = list(range(X.n))
+            rng.shuffle(relabel)
+            Y = Graph.from_edges(X.n, [(relabel[u], relabel[w])
+                                       for u, w in X.edges()])
+            assert _is_truncation_exception(Y)
+
+    @pytest.mark.parametrize("X", [catalog("petersen"), catalog("prism:15"),
+                                   truncate_cubic(catalog("prism:5"))])
+    def test_exception_flag_false_on_lookalikes(self, X):
+        assert not _is_truncation_exception(X)
 
     def test_degree_mismatch(self):
         with pytest.raises(GroupDegreeMismatch):
@@ -82,5 +101,9 @@ class TestIngest:
         gens = group_from_json(
             {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]})
         assert len(gens) == 2 and gens[0].degree == 3
+        assert group_from_json(
+            {"degree": 3, "generators": ["(0 1 2)", [1, 0, 2]]}) == gens
+        with pytest.raises(MalformedInput):
+            group_from_json({"degree": 3, "generators": ["(0 3)"]})
         with pytest.raises(GroupDegreeMismatch):
             group_from_json({"degree": 4, "generators": [[1, 0, 2]]})
