@@ -5,8 +5,8 @@ from .gf2k import (GF2k, SMatrix, count_eq2, field_make, quad_irreducible_m,
 from .graphs import (Graph, NotEquitable, OverlappingParts, QuotientMulti,
                      StructureReport, quotient_multigraph, structure_report,
                      subgraph)
-from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate, SolveResult,
-                       find_hamilton_cycle, find_hamilton_path,
+from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
+                       SolveResult, find_hamilton_cycle, find_hamilton_path,
                        iter_hamilton_cycles, jackson_condition,
                        verify_hamilton)
 from .lift import (InvalidChoice, NotAutomorphism, NotSemiregular,

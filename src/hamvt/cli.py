@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hamilton cycle certification for vertex-transitive "
                     "graphs")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="search-node budget for the exact solver")
+                    help="search-node budget for the exact solver and "
+                         "for each lift's quotient-cycle enumeration")
     ap.add_argument("--seed", type=int, default=SEMIREGULAR_SEED,
                     help="seed for the semiregular element search")
     ap.add_argument("--json-out", help="also write the JSON result here")

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -104,13 +105,36 @@ class GF2k:
 
     def tables(self) -> tuple[list[int], list[int]]:
         """(exp, log): exp[i] = theta^i, log[exp[i]] = i, log[0] = -1."""
-        exp = [1]
-        for _ in range(self.q - 2):
-            exp.append(self.mul(exp[-1], self.theta))
-        log = [-1] * self.q
-        for i, v in enumerate(exp):
-            log[v] = i
-        return exp, log
+        exp, log, _ = _tables(self)
+        return exp.tolist(), log.tolist()
+
+
+@cache
+def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int64 (exp, log, trace) of F, built once per field.
+
+    exp has q - 1 entries and log[0] = -1 as in ``GF2k.tables``;
+    trace[a] = a + a^2 + a^4 + ... + a^(2^(k-1)), which is 0 or 1.
+    """
+    q1 = F.q - 1
+    exp = [1]
+    for _ in range(q1 - 1):
+        exp.append(F.mul(exp[-1], F.theta))
+    exp = np.array(exp, dtype=np.int64)
+    log = np.full(F.q, -1, dtype=np.int64)
+    log[exp] = np.arange(q1)
+    # Tr(theta^i) = XOR over j < k of theta^(i 2^j), for every i at once
+    idx = np.arange(q1, dtype=np.int64)
+    acc = np.zeros(q1, dtype=np.int64)
+    for j in range(F.k):
+        acc ^= exp[(idx << j) % q1]
+    if not np.all((acc == 0) | (acc == 1)):
+        raise AssertionError("trace is not in the prime field")
+    trace = np.zeros(F.q, dtype=np.int64)
+    trace[exp] = acc
+    for arr in (exp, log, trace):
+        arr.setflags(write=False)
+    return exp, log, trace
 
 
 def _element_order(F: GF2k, a: int) -> int:
@@ -137,15 +161,25 @@ def field_make(k: int) -> GF2k:
     raise AssertionError("no primitive modulus found")
 
 
+def _trace_of_theta_pow(F: GF2k, e) -> np.ndarray:
+    """Tr(theta^e), elementwise over an integer array of exponents."""
+    exp, _, trace = _tables(F)
+    return trace[exp[np.asarray(e) % (F.q - 1)]]
+
+
 def quad_irreducible_m(F: GF2k) -> int:
-    """Least m with x^2 + theta^m x + 1 rootless over F (k >= 2)."""
+    """Least m with x^2 + theta^m x + 1 rootless over F (k >= 2).
+
+    x^2 + bx + 1 (b != 0) becomes z^2 + z = 1/b^2 under x = bz, which
+    has no root exactly when Tr(1/b^2) = 1.
+    """
     if F.k < 2:
         raise DegreeOutOfRange("need k >= 2")
-    for m in range(F.q - 1):
-        tm = F.theta_pow(m)
-        if all(F.mul(x, x) ^ F.mul(tm, x) ^ 1 for x in range(F.q)):
-            return m
-    raise AssertionError("no irreducible quadratic x^2 + theta^m x + 1")
+    ms = np.arange(F.q - 1)
+    hits = np.flatnonzero(_trace_of_theta_pow(F, -2 * ms))
+    if not hits.size:
+        raise AssertionError("no irreducible quadratic x^2 + theta^m x + 1")
+    return int(hits[0])
 
 
 @dataclass(frozen=True)
@@ -168,13 +202,33 @@ def s_mul(F: GF2k, m: int, x: SMatrix, y: SMatrix) -> SMatrix:
 
 
 def s_group(F: GF2k, m: int) -> list[SMatrix]:
-    """All s(a, b) with det = a^2 + b^2 + ab*theta^m = 1; cyclic of
-    order q + 1."""
-    tm = F.theta_pow(m)
-    if any(F.mul(x, x) ^ F.mul(tm, x) ^ 1 == 0 for x in range(F.q)):
+    """All s(a, b) with det = a^2 + b^2 + ab*theta^m = 1, sorted by
+    (a, b); cyclic of order q + 1.
+
+    b = 0 gives a = 1.  For b != 0 put B = b*theta^m and a = Bz: the
+    determinant is 1 exactly when z^2 + z = (b^2 + 1)/B^2, whose roots
+    are z and z + 1 for z read from a table of z^2 + z.
+    """
+    if int(_trace_of_theta_pow(F, -2 * m)) == 0:
         raise ReducibleQuadratic(f"x^2 + theta^{m} x + 1 has a root")
-    out = [SMatrix(a, b) for a in range(F.q) for b in range(F.q)
-           if F.mul(a, a) ^ F.mul(b, b) ^ F.mul(F.mul(a, b), tm) == 1]
+    q1 = F.q - 1
+    exp, log = F.tables()
+
+    def from_log(e: int) -> int:
+        return exp[e % q1]
+
+    # z -> z^2 + z is two-to-one with roots z, z + 1, so the nonzero z
+    # reach every value it takes; keep one root per value
+    half = {from_log(2 * log[z]) ^ z: z for z in range(1, F.q)}
+    pairs = [(1, 0)]
+    for b in range(1, F.q):
+        lB = log[b] + m
+        num = from_log(2 * log[b]) ^ 1
+        z = half.get(from_log(log[num] - 2 * lB) if num else 0)
+        if z is not None:
+            a = from_log(log[z] + lB)
+            pairs += [(a, b), (a ^ from_log(lB), b)]
+    out = [SMatrix(a, b) for a, b in sorted(pairs)]
     if len(out) != F.q + 1:
         raise AssertionError("S does not have order q+1")
     members = set(out)
@@ -198,30 +252,28 @@ def s_matrix_order(F: GF2k, m: int, s: SMatrix) -> int:
 
 
 def count_eq2(F: GF2k, m: int, c: int, require_y_nonzero: bool = False) -> int:
-    """Exhaustive count of (a, y) with a^2 + c*theta^m*a*y^3 + c^2*y^6
-    + 1 = 0."""
+    """Number of (a, y) with a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0.
+
+    Fix y and write the equation as a^2 + Ba + C = 0 with B =
+    c*theta^m*y^3 and C = c^2*y^6 + 1.  y = 0 gives B = 0, C = 1 and the
+    single root a = 1.  For y != 0, a = Bz turns it into z^2 + z = C/B^2,
+    which has two roots when Tr(C/B^2) = 0 and none when it is 1.  The
+    q - 1 nonzero y are handled at once in log space: O(q) time and
+    memory.
+    """
     if c == 0:
         raise ZeroC("c must be nonzero")
-    q = F.q
-    d1 = F.mul(c, F.theta_pow(m))
-    d2 = F.mul(c, c)
-    y3 = [F.mul(F.mul(y, y), y) for y in range(q)]
-    t1 = np.array([F.mul(d1, v) for v in y3], dtype=np.int64)
-    t2 = np.array([F.mul(d2, F.mul(v, v)) ^ 1 for v in y3], dtype=np.int64)
-    sq = np.array([F.mul(a, a) for a in range(q)], dtype=np.int64)
-    exp, log = F.tables()
-    logv = np.array(log, dtype=np.int64)
-    expv = np.array(exp, dtype=np.int64)
-    la = logv[np.arange(q)]
-    lt = logv[t1]
-    prod = expv[(la[:, None] + lt[None, :]) % (q - 1)]
-    prod[0, :] = 0
-    prod[:, t1 == 0] = 0
-    lhs = sq[:, None] ^ prod ^ t2[None, :]
-    zero = lhs == 0
-    if require_y_nonzero:
-        zero[:, 0] = False
-    return int(zero.sum())
+    q1 = F.q - 1
+    exp, log, trace = _tables(F)
+    ly = np.arange(q1, dtype=np.int64)  # y = theta^ly
+    lc = int(log[c])
+    lb = lc + m % q1 + 3 * ly
+    cc = exp[(2 * lc + 6 * ly) % q1] ^ 1
+    ratio = np.zeros(q1, dtype=np.int64)  # C = 0 leaves ratio 0, trace 0
+    nz = cc != 0
+    ratio[nz] = exp[(log[cc[nz]] - 2 * lb[nz]) % q1]
+    roots = 2 * int(np.count_nonzero(trace[ratio] == 0))
+    return roots if require_y_nonzero else roots + 1
 
 
 def weil_check(N: int, q: int, d: int) -> bool:

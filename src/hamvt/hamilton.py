@@ -36,8 +36,8 @@ class SolveResult:
     nodes: int
 
 
-class _Budget(Exception):
-    pass
+class BudgetExhausted(Exception):
+    """The search pushed more vertices than its node budget allows."""
 
 
 def verify_hamilton(X: Graph, cert: HamiltonCertificate) -> bool:
@@ -70,7 +70,7 @@ class _Search:
     ``mode`` is "cycle" or "path" (find: stop at the first hit) or "all"
     (enumerate every Hamilton cycle).  Iterating yields each Hamilton
     sequence found; ``nodes`` counts the vertices pushed onto the path,
-    and pushing more than ``budget`` of them raises ``_Budget``.
+    and pushing more than ``budget`` of them raises ``BudgetExhausted``.
 
     Cycle modes break orientation: the cycle may close only through a
     neighbour of the start that is larger than the first step, so every
@@ -160,7 +160,7 @@ class _Search:
             nodes += 1
             if nodes > budget:
                 self.nodes = nodes
-                raise _Budget
+                raise BudgetExhausted
             v = b.bit_length() - 1
             path.append(v)
             visited |= b
@@ -181,7 +181,7 @@ class _Search:
 def _first(search: _Search, kind: str) -> SolveResult:
     try:
         seq = next(iter(search), None)
-    except _Budget:
+    except BudgetExhausted:
         return SolveResult("unknown", None, search.nodes)
     if seq is None:
         return SolveResult("none", None, search.nodes)
@@ -203,13 +203,14 @@ def find_hamilton_path(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     return _first(_Search(X, "path", budget), "path")
 
 
-def iter_hamilton_cycles(X: Graph):
+def iter_hamilton_cycles(X: Graph, budget: int = DEFAULT_BUDGET):
     """Yield every Hamilton cycle once, as a tuple starting at vertex 0
     with second entry smaller than last (orientation canonicalized).
 
     Intended for small graphs (quotients).  The search is charged to
-    ``DEFAULT_BUDGET`` nodes and raises rather than stop early.
+    ``budget`` nodes and raises ``BudgetExhausted`` rather than stop
+    early.
     """
     if X.n < 3 or not X.is_connected():
         return
-    yield from _Search(X, "all", DEFAULT_BUDGET)
+    yield from _Search(X, "all", budget)

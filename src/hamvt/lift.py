@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .graphs import Graph
-from .hamilton import HamiltonCertificate, iter_hamilton_cycles, verify_hamilton
+from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
+                       iter_hamilton_cycles, verify_hamilton)
 from .perms import Perm
 
 class NotSemiregular(ValueError):
@@ -162,16 +163,18 @@ def lifted_components(dec: SemiregularDecomposition, volt: VoltageAssignment,
     return out
 
 
-def lift_hamilton(X: Graph, rho: Perm, p: int) -> HamiltonCertificate | None:
+def lift_hamilton(X: Graph, rho: Perm, p: int,
+                  budget: int = DEFAULT_BUDGET) -> HamiltonCertificate | None:
     """Hamilton cycle of X by lifting a quotient cycle, if one exists.
 
     p must be prime.  The quotient cycles are the closed walk (0,) for
     m = 1, (0, 1) for m = 2 and the Hamilton cycles of the simple
-    quotient for m >= 3.  Per cycle only the first two voltage choices
-    in product order are tested: they differ on the last edge alone, so
-    their net voltages differ, and both are 0 only when every edge of
-    the cycle carries a single voltage.  A nonzero net voltage lifts to
-    a Hamilton cycle because p is prime.
+    quotient for m >= 3, enumerated within ``budget`` search nodes
+    (``BudgetExhausted`` is raised past it).  Per cycle only the first
+    two voltage choices in product order are tested: they differ on the
+    last edge alone, so their net voltages differ, and both are 0 only
+    when every edge of the cycle carries a single voltage.  A nonzero
+    net voltage lifts to a Hamilton cycle because p is prime.
     """
     dec = decompose(X, rho, p)
     volt = voltage_assignment(X, dec)
@@ -185,7 +188,7 @@ def lift_hamilton(X: Graph, rho: Perm, p: int) -> HamiltonCertificate | None:
     elif dec.m == 2:
         cycles = [(0, 1)] if (0, 1) in volt.cross else []
     else:
-        cycles = iter_hamilton_cycles(quotient_graph(dec, volt))
+        cycles = iter_hamilton_cycles(quotient_graph(dec, volt), budget)
     for cycle in cycles:
         options = [table[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
         for choice in islice(product(*options), 2):

@@ -13,11 +13,12 @@ import re
 from dataclasses import dataclass, field
 
 from .graphs import Graph, structure_report
-from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
+from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        find_hamilton_cycle, find_hamilton_path,
                        jackson_condition, verify_hamilton)
 from .lift import lift_hamilton
-from .perms import (SEMIREGULAR_SEED, Perm, PermGroup, block_systems,
+from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
+                    SEMIREGULAR_WORDS, Perm, PermGroup, block_systems,
                     find_semiregular)
 
 
@@ -148,11 +149,22 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
         for p in _primes(X.n):
             rho = find_semiregular(G, p, seed=seed)
             if rho is None:
+                # find_semiregular scans every element up to the cap
+                proved = (G.order() % p != 0
+                          or G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP)
                 report.strategy_trace.append(
                     {"strategy": f"lift_p{p}",
-                     "outcome": "no semiregular element found"})
+                     "outcome": ("no semiregular element (proved absent)"
+                                 if proved else
+                                 "no semiregular element found in "
+                                 f"{SEMIREGULAR_WORDS} random words")})
                 continue
-            cert = lift_hamilton(X, rho, p)
+            try:
+                cert = lift_hamilton(X, rho, p, budget)
+            except BudgetExhausted:
+                report.strategy_trace.append(
+                    {"strategy": f"lift_p{p}", "outcome": "budget exhausted"})
+                continue
             if cert is not None:
                 if not verify_hamilton(X, cert):
                     raise AssertionError("lift produced a bad certificate")

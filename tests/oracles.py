@@ -7,6 +7,8 @@ these on small instances.
 
 from itertools import permutations
 
+import numpy as np
+
 from hamvt import Graph, Perm
 
 
@@ -103,3 +105,46 @@ def held_karp_cycle(X: Graph) -> bool:
                 ext ^= b
                 dp[mask | b] |= b
     return bool(dp[(1 << n) - 1] & adj[0])
+
+
+def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:
+    """#{(a, y): a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0}, by filling the
+    whole q x q table of left-hand sides."""
+    q = F.q
+    d1 = F.mul(c, F.theta_pow(m))
+    d2 = F.mul(c, c)
+    y3 = [F.mul(F.mul(y, y), y) for y in range(q)]
+    t1 = np.array([F.mul(d1, v) for v in y3], dtype=np.int64)
+    t2 = np.array([F.mul(d2, F.mul(v, v)) ^ 1 for v in y3], dtype=np.int64)
+    sq = np.array([F.mul(a, a) for a in range(q)], dtype=np.int64)
+    exp, log = F.tables()
+    logv = np.array(log, dtype=np.int64)
+    expv = np.array(exp, dtype=np.int64)
+    la = logv[np.arange(q)]
+    lt = logv[t1]
+    prod = expv[(la[:, None] + lt[None, :]) % (q - 1)]
+    prod[0, :] = 0
+    prod[:, t1 == 0] = 0
+    lhs = sq[:, None] ^ prod ^ t2[None, :]
+    zero = lhs == 0
+    if require_y_nonzero:
+        zero[:, 0] = False
+    return int(zero.sum())
+
+
+def quadratic_has_root(F, m: int) -> bool:
+    """Whether x^2 + theta^m x + 1 vanishes at some x, trying every x."""
+    tm = F.theta_pow(m)
+    return any(F.mul(x, x) ^ F.mul(tm, x) ^ 1 == 0 for x in range(F.q))
+
+
+def brute_quad_irreducible_m(F) -> int:
+    """Least m with x^2 + theta^m x + 1 rootless: O(q^2) products."""
+    return next(m for m in range(F.q - 1) if not quadratic_has_root(F, m))
+
+
+def brute_s_pairs(F, m: int) -> list[tuple[int, int]]:
+    """Every (a, b) with a^2 + b^2 + ab*theta^m = 1, in (a, b) order."""
+    tm = F.theta_pow(m)
+    return [(a, b) for a in range(F.q) for b in range(F.q)
+            if F.mul(a, a) ^ F.mul(b, b) ^ F.mul(F.mul(a, b), tm) == 1]

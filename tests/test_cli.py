@@ -115,6 +115,12 @@ class TestCommands:
         assert out["min_count"] >= 2
         assert all(r["weil_d6"] for r in out["rows"])
 
+    def test_field_k12(self, capsys):
+        assert main(["field", "--k", "12"]) == EXIT_FOUND
+        out = json.loads(capsys.readouterr().out)
+        assert out["q"] == 4096 and len(out["rows"]) == 4095
+        assert all(r["weil_d6"] for r in out["rows"])
+
     def test_missing_graph_source(self, capsys):
         assert main(["solve"]) == EXIT_INPUT
 

@@ -1,5 +1,8 @@
 """Field arithmetic, the order-(q+1) group S, and point counting."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from hamvt.gf2k import (DegreeOutOfRange, ReducibleQuadratic, SMatrix, ZeroC,
                         count_eq2, field_make, quad_irreducible_m, s_group,
                         s_matrix_order, s_mul, weil_check)
+from oracles import (brute_count_eq2, brute_quad_irreducible_m, brute_s_pairs,
+                     quadratic_has_root)
 
 F16 = field_make(4)
 
@@ -143,6 +148,78 @@ class TestCountEq2:
         m = quad_irreducible_m(F16)
         for c in range(1, 16):
             assert count_eq2(F16, m, c, True) % 3 == 0
+
+
+class TestCountInvariants:
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_constant_on_cube_classes(self, k):
+        # (c, y) -> (c u^3, y / u) maps solutions onto solutions
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        rng = random.Random(k)
+        for _ in range(8):
+            c, u = rng.randrange(1, F.q), rng.randrange(1, F.q)
+            cu = F.mul(c, F.pow(u, 3))
+            for flag in (False, True):
+                assert count_eq2(F, m, c, flag) == count_eq2(F, m, cu, flag)
+
+    def test_memory_linear_in_q(self):
+        # a q x q int64 table at k = 12 alone would be 134 MB
+        F = field_make(12)
+        m = quad_irreducible_m(F)
+        tracemalloc.start()
+        try:
+            count_eq2(F, m, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def _oracle_ms(F):
+    return sorted({0, 1} | ({brute_quad_irreducible_m(F)} if F.k >= 2
+                            else set()))
+
+
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_counts_every_c_and_flag(self, k):
+        F = field_make(k)
+        for m in _oracle_ms(F):
+            for c in range(1, F.q):
+                for flag in (False, True):
+                    assert (count_eq2(F, m, c, flag)
+                            == brute_count_eq2(F, m, c, flag)), (m, c, flag)
+
+    @pytest.mark.parametrize("k", (7, 8))
+    def test_counts_every_c_at_least_m(self, k):
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        for c in range(1, F.q):
+            assert count_eq2(F, m, c) == brute_count_eq2(F, m, c), c
+
+    @pytest.mark.parametrize("k", (9, 10))
+    def test_counts_sampled_c(self, k):
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        for c in random.Random(k).sample(range(1, F.q), 4):
+            assert count_eq2(F, m, c) == brute_count_eq2(F, m, c), c
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_quad_irreducible_m(self, k):
+        F = field_make(k)
+        assert quad_irreducible_m(F) == brute_quad_irreducible_m(F)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_s_group(self, k):
+        F = field_make(k)
+        for m in _oracle_ms(F):
+            if quadratic_has_root(F, m):
+                with pytest.raises(ReducibleQuadratic):
+                    s_group(F, m)
+            else:
+                assert ([(s.a, s.b) for s in s_group(F, m)]
+                        == brute_s_pairs(F, m)), m
 
 
 class TestWeil:

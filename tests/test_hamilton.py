@@ -4,10 +4,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from hamvt import (Graph, HamiltonCertificate, find_hamilton_cycle,
-                   find_hamilton_path, iter_hamilton_cycles,
-                   jackson_condition, orbital_graph, suborbits,
-                   verify_hamilton)
+from hamvt import (BudgetExhausted, Graph, HamiltonCertificate,
+                   find_hamilton_cycle, find_hamilton_path,
+                   iter_hamilton_cycles, jackson_condition, orbital_graph,
+                   suborbits, verify_hamilton)
 from hamvt.fixtures import s6_on_s4_cosets
 from hamvt.products import catalog
 from oracles import (held_karp_cycle, naive_hamilton_cycle,
@@ -146,6 +146,12 @@ class TestIterCycles:
                         for a, b in zip((0,) + rest, rest + (0,)))}
         got = list(iter_hamilton_cycles(X))
         assert len(got) == len(set(got)) and set(got) == want
+
+    def test_budget(self):
+        K7 = catalog("complete:7")
+        with pytest.raises(BudgetExhausted):
+            list(iter_hamilton_cycles(K7, budget=50))
+        assert len(list(iter_hamilton_cycles(K7, budget=10**5))) == 360
 
 
 class TestNodeCounts:

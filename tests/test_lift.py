@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from hamvt import (Graph, InvalidChoice, NotAutomorphism, NotSemiregular,
+from hamvt import (BudgetExhausted, Graph, InvalidChoice, NotAutomorphism,
+                   NotSemiregular,
                    Perm, cycle_voltage, decompose, lift_hamilton,
                    lifted_components, quotient_graph, verify_hamilton,
                    voltage_assignment)
@@ -172,3 +173,20 @@ class TestLiftHamilton:
         X = catalog("circulant:30:1,6")
         cert = lift_hamilton(X, shift(30, 6), 5)
         assert cert is not None and verify_hamilton(X, cert)
+
+    def test_budget_bounds_the_quotient_enumeration(self):
+        # K_8 x C_3: every cross voltage is 0, so no quotient cycle lifts
+        X, rho = km_c3(8)
+        assert lift_hamilton(X, rho, 3) is None
+        with pytest.raises(BudgetExhausted):
+            lift_hamilton(X, rho, 3, budget=1000)
+
+
+def km_c3(m):
+    """K_m x C_3 (vertex 3i + j is (i, j)) and the rotation of C_3."""
+    edges = [(3 * i + j, 3 * h + j)
+             for j in range(3) for i in range(m) for h in range(i + 1, m)]
+    edges += [(3 * i + j, 3 * i + (j + 1) % 3)
+              for i in range(m) for j in range(3)]
+    rho = Perm(tuple(3 * (v // 3) + (v % 3 + 1) % 3 for v in range(3 * m)))
+    return Graph.from_edges(3 * m, edges), rho

@@ -8,7 +8,10 @@ from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
                    MalformedInput, Perm, analyze, catalog, catalog_gens,
                    graph_from_json, group_from_json, truncate_cubic,
                    verify_hamilton)
+from hamvt import pipeline
+from hamvt.perms import SEMIREGULAR_WORDS
 from hamvt.pipeline import _is_truncation_exception
+from test_lift import km_c3
 
 
 class TestAnalyze:
@@ -81,6 +84,28 @@ class TestAnalyze:
         assert rep.vertex_transitive is True
         rep = analyze(catalog("petersen"))
         assert rep.vertex_transitive is None
+
+    def test_lift_budget_exhausted_then_exact_search(self):
+        X, rho = km_c3(12)
+        rep = analyze(X, [rho], budget=10**5)
+        outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
+        assert outcomes["lift_p3"] == "budget exhausted"
+        assert outcomes["exact_search"] == "found"
+        assert rep.result == "certificate"
+        assert verify_hamilton(X, rep.certificate)
+
+    def test_semiregular_absence_proved(self):
+        rep = analyze(catalog("petersen"), catalog_gens("petersen"))
+        outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
+        assert outcomes["lift_p2"] == "no semiregular element (proved absent)"
+
+    def test_semiregular_not_found_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "find_semiregular", lambda *a, **k: None)
+        monkeypatch.setattr(pipeline, "SEMIREGULAR_EXHAUSTIVE_CAP", 1)
+        rep = analyze(catalog("petersen"), catalog_gens("petersen"))
+        outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
+        assert outcomes["lift_p2"] == ("no semiregular element found in "
+                                       f"{SEMIREGULAR_WORDS} random words")
 
 
 class TestIngest:
