@@ -77,6 +77,9 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
     sel = set(int(i) for i in selection)
     if not sel:
         raise EmptySelection("selection is empty")
+    if not sel <= set(range(len(table.suborbits))):
+        raise ValueError(f"selection {sorted(sel)} has an index outside "
+                         f"0..{len(table.suborbits) - 1}")
     if table.trivial_index() in sel:
         raise ValueError("selection includes the trivial suborbit")
     closed = set(sel)

@@ -3,7 +3,8 @@
 Permutations are 0-based image arrays acting on the right: the image of
 point ``i`` under ``g`` is ``g.images[i]``, and ``(g * h)`` means "apply
 ``g`` first, then ``h``".  Groups carry a deterministic stabilizer chain
-with base 0, 1, 2, ..., n-1, built once on first use.
+with base 0, 1, 2, ..., n-1, built once on first use.  Point stabilizers
+come from Schreier generators of a breadth-first transversal, no chain.
 """
 
 from __future__ import annotations
@@ -108,6 +109,19 @@ class Perm:
         return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
 
+def _transversal(degree: int, gens, v: int) -> dict[int, Perm]:
+    """BFS transversal: point -> t with v^t = point, fixed gen order."""
+    t = {v: Perm.identity(degree)}
+    frontier = [v]
+    for x in frontier:  # grows while it is walked: a FIFO queue
+        for s in gens:
+            y = s.images[x]
+            if y not in t:
+                t[y] = t[x] * s
+                frontier.append(y)
+    return t
+
+
 class _Chain:
     """Stabilizer chain with the full fixed base 0, 1, ..., n-1."""
 
@@ -128,17 +142,7 @@ class _Chain:
                 if all(g.images[b] == b for b in range(i))]
 
     def _rebuild(self, i: int) -> None:
-        gens_i = self._level_gens(i)
-        t = {i: Perm.identity(self.degree)}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop(0)
-            for s in gens_i:
-                y = s.images[x]
-                if y not in t:
-                    t[y] = t[x] * s
-                    frontier.append(y)
-        self.trans[i] = t
+        self.trans[i] = _transversal(self.degree, self._level_gens(i), i)
 
     def strip(self, g: Perm) -> tuple[Perm, int]:
         h = g
@@ -202,10 +206,6 @@ class _Chain:
 
         yield from rec(len(levels) - 1)
 
-    def stabilizer_gens(self, upto: int) -> list[Perm]:
-        """Strong generators fixing every point below ``upto`` pointwise."""
-        return self._level_gens(upto)
-
 
 class PermGroup:
     """Finite permutation group given by generators.
@@ -266,17 +266,10 @@ class PermGroup:
         return self.degree == 0 or len(self.orbit(0)) == self.degree
 
     def transversal_from(self, v: int) -> dict[int, Perm]:
-        """BFS transversal: point -> g with v^g = point, fixed gen order."""
-        t = {v: Perm.identity(self.degree)}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop(0)
-            for g in self.generators:
-                y = g.images[x]
-                if y not in t:
-                    t[y] = t[x] * g
-                    frontier.append(y)
-        return t
+        """BFS transversal from v over the generators; v must be a point."""
+        if not 0 <= v < self.degree:
+            raise ValueError(f"point {v} outside 0..{self.degree - 1}")
+        return _transversal(self.degree, self.generators, v)
 
     def random_element(self, rng: random.Random) -> Perm:
         pool = list(self.generators) + [g.inv() for g in self.generators]
@@ -289,14 +282,15 @@ class PermGroup:
 
 
 def point_stabilizer(G: PermGroup, v: int) -> PermGroup:
-    """Stabilizer G_v, computed from a chain rebased to start at v."""
-    relabel = list(range(G.degree))
-    relabel[0], relabel[v] = v, 0
-    swap = Perm(tuple(relabel))
-    conj = [swap * g * swap for g in G.generators]
-    chain = _Chain(G.degree, conj)
-    stab = [swap * h * swap for h in chain.stabilizer_gens(1)]
-    return PermGroup(G.degree, stab)
+    """Stabilizer G_v from Schreier generators; builds no chain.
+
+    Schreier's lemma: with t a transversal of v's orbit, G_v is generated
+    by t[x] * s * t[x^s]^-1 over orbit points x and generators s.
+    """
+    t = G.transversal_from(v)
+    schreier = dict.fromkeys(t[x] * s * t[s.images[x]].inv()
+                             for x in t for s in G.generators)
+    return PermGroup(G.degree, schreier)
 
 
 def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
@@ -367,7 +361,12 @@ def _system_from_block(G: PermGroup, block: frozenset[int]) -> BlockSystem:
 
 
 def block_systems(G: PermGroup) -> list[BlockSystem]:
-    """All minimal nontrivial block systems of a transitive group."""
+    """Block systems of the proper blocks ``minimal_block(G, 0, b)``.
+
+    One system per distinct block, in order of the least b giving it.
+    Every minimal nontrivial system is among them, but a listed one need
+    not be minimal: on Z_8 both {0, 2, 4, 6} and {0, 4} are blocks.
+    """
     if not G.is_transitive():
         raise NotTransitive("block_systems requires a transitive group")
     n = G.degree
@@ -459,16 +458,16 @@ def coset_action(G: PermGroup, Hgens) -> CosetAction:
 
     reps: list[Perm] = [Perm.identity(G.degree)]
     index: dict[tuple[int, ...], int] = {key(reps[0]): 0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop(0)
-        for g in G.generators:
-            cand = reps[i] * g
+    # images[j][i]: index of the coset reps[i] * G.generators[j]
+    images: list[list[int]] = [[] for _ in G.generators]
+    for rep in reps:  # reps grows while it is walked: breadth-first
+        for g, row in zip(G.generators, images):
+            cand = rep * g
             k = key(cand)
             if k not in index:
                 index[k] = len(reps)
                 reps.append(cand)
-                frontier.append(index[k])
+            row.append(index[k])
 
     m = len(reps)
 
@@ -478,5 +477,5 @@ def coset_action(G: PermGroup, Hgens) -> CosetAction:
     def coset_index(g: Perm) -> int:
         return index[key(g)]
 
-    images = [push(g) for g in G.generators]
-    return CosetAction(PermGroup(m, images), reps, push, coset_index)
+    return CosetAction(PermGroup(m, [Perm(tuple(r)) for r in images]),
+                       reps, push, coset_index)

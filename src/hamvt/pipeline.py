@@ -1,10 +1,11 @@
 """Strategy-cascade analysis: blocks, lifting, Jackson, exact fallback.
 
 The cascade mirrors the structural proof strategy but is case-agnostic:
-(1) validate the supplied automorphisms, (2) enumerate minimal block
-systems, (3) try cycle lifting through a semiregular p-element for each
-prime p dividing n, (4) record whether the Jackson sufficient
-condition holds, (5) run the exact solver within budget.
+(1) validate the supplied automorphisms, (2) list the block systems
+generated by pairs of points, (3) try cycle lifting through a
+semiregular p-element for each prime p dividing n, (4) record whether
+the Jackson sufficient condition holds, (5) run the exact solver within
+budget.
 """
 
 from __future__ import annotations

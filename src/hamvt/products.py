@@ -335,9 +335,10 @@ def catalog(name: str) -> Graph:
 def catalog_gens(name: str) -> list[Perm] | None:
     """Documented automorphism generators for a catalog graph.
 
-    Vertex-transitive for every entry except coxeter truncations where
-    only a proper subgroup is supplied; None when no generators are
-    documented.
+    Vertex-transitive for every entry except ``coxeter`` and
+    ``truncated_coxeter``: both get the same order-21 subgroup, which
+    has 2 orbits on the Coxeter graph and 4 on its truncation.  None
+    when no generators are documented.
     """
     base, params = _parse(name)
     if base == "petersen":

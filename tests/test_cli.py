@@ -108,6 +108,20 @@ class TestCommands:
         assert sorted(map(tuple, out["graph"]["edges"])) == [
             (0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
+    @pytest.mark.parametrize("flags", [
+        ["--point", "0", "--selection", "-1"],
+        ["--point", "0", "--selection", "7"],
+        ["--point", "9", "--selection", "1"],
+    ], ids=["negative_selection", "selection_7", "point_9"])
+    def test_orbital_bad_input(self, flags, tmp_path, capsys):
+        grp = tmp_path / "d5.json"
+        grp.write_text(json.dumps(
+            {"degree": 5, "generators": ["(0 1 2 3 4)", "(1 4)(2 3)"]}))
+        assert main(["orbital", "--group", str(grp)] + flags) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_field(self, capsys):
         assert main(["field", "--k", "4"]) == EXIT_FOUND
         out = json.loads(capsys.readouterr().out)
@@ -120,6 +134,17 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["q"] == 4096 and len(out["rows"]) == 4095
         assert all(r["weil_d6"] for r in out["rows"])
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_field_rows_match_per_c_counts(self, k, capsys):
+        from hamvt import count_eq2, field_make, quad_irreducible_m
+        assert main(["field", "--k", str(k)]) == EXIT_FOUND
+        out = json.loads(capsys.readouterr().out)
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        assert [r["count"] for r in out["rows"]] == [
+            count_eq2(F, m, c) for c in range(1, F.q)]
+        assert out["min_count"] == min(r["count"] for r in out["rows"])
 
     def test_missing_graph_source(self, capsys):
         assert main(["solve"]) == EXIT_INPUT

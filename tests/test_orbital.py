@@ -3,11 +3,20 @@
 import pytest
 
 from hamvt import (BlockSystem, EmptySelection, NotTransitive, Perm,
-                   PermGroup, block_quotient, orbital_graph, suborbits)
+                   PermGroup, block_quotient, coset_action, orbital_graph,
+                   point_stabilizer, suborbits)
+from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens, s6_on_s4_cosets
 from hamvt.products import catalog
+from oracles import naive_closure
 
 D5 = PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((0, 4, 3, 2, 1))])
 Z6 = PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])
+
+
+def _coset_action(name):
+    if name == "s6_on_s4":
+        return s6_on_s4_cosets()
+    return coset_action(PermGroup(17, psl2_16_gens()[1]), psl2_16_h_gens())
 
 
 class TestSuborbits:
@@ -32,6 +41,24 @@ class TestSuborbits:
     def test_requires_transitive(self):
         with pytest.raises(NotTransitive):
             suborbits(PermGroup(4, [Perm((1, 0, 2, 3))]), 0)
+
+    @pytest.mark.parametrize("name", ["s6_on_s4", "psl2_16"])
+    def test_matches_fixed_point_oracle(self, name):
+        # suborbits at v are the orbits of the elements fixing v
+        G = _coset_action(name).group
+        elems = naive_closure(G.degree, G.generators)
+        for v in range(G.degree):
+            stab = [g for g in elems if g.images[v] == v]
+            orbits = {frozenset(g.images[w] for g in stab)
+                      for w in range(G.degree)}
+            assert {frozenset(s) for s in suborbits(G, v).suborbits} == orbits
+
+    @pytest.mark.parametrize("v", [-1, 5, 9])
+    def test_point_outside_group_rejected(self, v):
+        with pytest.raises(ValueError):
+            suborbits(D5, v)
+        with pytest.raises(ValueError):
+            orbital_graph(D5, v, [1])
 
     def test_pairing_involution_s6(self):
         from hamvt.fixtures import s6_on_s4_cosets
@@ -64,6 +91,28 @@ class TestOrbitalGraph:
         tbl = suborbits(D5, 0)
         with pytest.raises(ValueError):
             orbital_graph(D5, 0, [tbl.trivial_index()])
+
+    @pytest.mark.parametrize("index", [-1, 3, 7])
+    def test_selection_outside_table_rejected(self, index):
+        with pytest.raises(ValueError):
+            orbital_graph(D5, 0, [index])
+        with pytest.raises(ValueError):
+            orbital_graph(D5, 0, [1, index])
+
+    @pytest.mark.parametrize("name", ["s6_on_s4", "psl2_16"])
+    def test_no_stabilizer_chain_built(self, name, monkeypatch):
+        import hamvt.perms
+
+        G = _coset_action(name).group
+
+        def no_chain(*args):
+            raise AssertionError("stabilizer chain built")
+
+        monkeypatch.setattr(hamvt.perms, "_Chain", no_chain)
+        assert point_stabilizer(G, 1).generators
+        tbl = suborbits(G, 1)
+        og = orbital_graph(G, 1, [len(tbl.suborbits) - 1])
+        assert og.graph.n == G.degree
 
     def test_generators_are_automorphisms(self):
         for G in (D5, Z6):

@@ -130,6 +130,14 @@ class TestGroup:
         assert stab.order() == 2
         assert stab.contains(Perm((0, 4, 3, 2, 1)))
 
+    @pytest.mark.parametrize("v", [-1, 5, 9])
+    def test_point_outside_group_rejected(self, v):
+        D5 = PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((0, 4, 3, 2, 1))])
+        with pytest.raises(ValueError):
+            D5.transversal_from(v)
+        with pytest.raises(ValueError):
+            point_stabilizer(D5, v)
+
 
 class TestBlocks:
     def test_minimal_block_examples(self):
@@ -159,6 +167,14 @@ class TestBlocks:
                 for cell in system.cells:
                     img = tuple(sorted(g.images[x] for x in cell))
                     assert img in system.cells
+
+    def test_block_systems_are_not_only_minimal(self):
+        # {0, 4} is a block inside the block {0, 2, 4, 6}; both are listed
+        Z8 = PermGroup(8, [Perm(tuple((i + 1) % 8 for i in range(8)))])
+        systems = block_systems(Z8)
+        assert [s.cell_size for s in systems] == [4, 2]
+        assert systems[0].cells == ((0, 2, 4, 6), (1, 3, 5, 7))
+        assert systems[1].cells == ((0, 4), (1, 5), (2, 6), (3, 7))
 
     def test_block_systems_primitive(self):
         Z5 = PermGroup(5, [Perm((1, 2, 3, 4, 0))])

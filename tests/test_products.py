@@ -132,6 +132,19 @@ class TestCatalog:
             catalog("complete:x")
 
     @pytest.mark.parametrize("name", [
+        "petersen", "coxeter", "truncated_petersen", "truncated_coxeter",
+        "heawood", "non_incidence_pg22", "crown:5", "circulant:12:1,3",
+        "prism:6", "complete:5", "complete_bipartite:3:3",
+    ])
+    def test_gens_transitive_except_coxeter(self, name):
+        X = catalog(name)
+        G = PermGroup(X.n, catalog_gens(name))
+        if name in ("coxeter", "truncated_coxeter"):
+            assert G.order() == 21 and not G.is_transitive()
+        else:
+            assert G.is_transitive()
+
+    @pytest.mark.parametrize("name", [
         "petersen", "truncated_petersen", "heawood", "non_incidence_pg22",
         "crown:5", "circulant:12:1,3", "prism:6", "complete:5",
         "complete_bipartite:3:3",
