@@ -12,7 +12,8 @@ from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
 from .lift import (InvalidChoice, NotAutomorphism, NotSemiregular,
                    SemiregularDecomposition, VoltageAssignment, cycle_voltage,
                    decompose, lift_hamilton, lifted_components,
-                   quotient_graph, voltage_assignment)
+                   quotient_graph, voltage_assignment,
+                   voltages_are_coboundary)
 from .orbital import (EmptySelection, OrbitalGraph, SuborbitTable,
                       block_quotient, orbital_graph, suborbits)
 from .perms import (BlockSystem, CosetAction, NotTransitive, Perm, PermGroup,

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph
-from .perms import BlockSystem, NotTransitive, PermGroup, point_stabilizer
+from .perms import (BlockSystem, NotTransitive, Perm, PermGroup,
+                    stabilizer_from_transversal)
 
 
 class EmptySelection(ValueError):
@@ -18,12 +19,14 @@ class SuborbitTable:
 
     Suborbits are sorted by (length, minimum element); ``pairing[i]`` is
     the index of the suborbit paired with suborbit i (itself when
-    self-paired).
+    self-paired).  ``transversal[u]`` maps the base to u; orbital graphs
+    transport their adjacency along it.
     """
 
     base: int
     suborbits: tuple[tuple[int, ...], ...]
     pairing: tuple[int, ...]
+    transversal: dict[int, Perm] = field(compare=False, repr=False)
 
     def index_of(self, w: int) -> int:
         for i, s in enumerate(self.suborbits):
@@ -42,17 +45,17 @@ def suborbits(G: PermGroup, v: int) -> SuborbitTable:
     """Suborbit table at v: orbits of G_v, paired via inverse transport."""
     if not G.is_transitive():
         raise NotTransitive("suborbits require a transitive group")
-    stab = point_stabilizer(G, v)
+    trans = G.transversal_from(v)
+    stab = stabilizer_from_transversal(G, trans)
     subs = tuple(sorted((tuple(o) for o in stab.orbits()),
                         key=lambda s: (len(s), s[0])))
-    trans = G.transversal_from(v)
     lookup = {}
     for i, s in enumerate(subs):
         for w in s:
             lookup[w] = i
     # suborbit of w pairs with the suborbit of v^(g^-1) where v^g = w
     pairing = tuple(lookup[trans[s[0]].inv().images[v]] for s in subs)
-    table = SuborbitTable(v, subs, pairing)
+    table = SuborbitTable(v, subs, pairing, trans)
     for i, j in enumerate(table.pairing):
         if table.pairing[j] != i:
             raise AssertionError("pairing is not an involution")
@@ -65,13 +68,16 @@ class OrbitalGraph:
     connected: bool
     symmetrized: bool  # set when the selection had to be pair-closed
     selection: tuple[int, ...]
+    table: SuborbitTable
 
 
 def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
     """Generalized orbital graph for a set of suborbit indices.
 
-    Adjacency is transported along a BFS transversal from v; selections
-    not closed under pairing are closed automatically and flagged.
+    Adjacency is transported along the table's BFS transversal from v;
+    selections not closed under pairing are closed automatically and
+    flagged.  Each index is converted with int() after the table is
+    built, so a bad point is reported before a bad index.
     """
     table = suborbits(G, v)
     sel = set(int(i) for i in selection)
@@ -87,7 +93,7 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
         closed.add(table.pairing[i])
     symmetrized = closed != sel
     targets = frozenset(w for i in closed for w in table.suborbits[i])
-    trans = G.transversal_from(v)
+    trans = table.transversal
     n = G.degree
     edges = set()
     for u in range(n):
@@ -98,7 +104,7 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
                 edges.add((min(u, x), max(u, x)))
     X = Graph.from_edges(n, sorted(edges))
     return OrbitalGraph(X, X.is_connected(), symmetrized,
-                        tuple(sorted(closed)))
+                        tuple(sorted(closed)), table)
 
 
 def block_quotient(X: Graph, system: BlockSystem) -> Graph:

@@ -282,12 +282,17 @@ class PermGroup:
 
 
 def point_stabilizer(G: PermGroup, v: int) -> PermGroup:
-    """Stabilizer G_v from Schreier generators; builds no chain.
+    """Stabilizer G_v from Schreier generators; builds no chain."""
+    return stabilizer_from_transversal(G, G.transversal_from(v))
 
-    Schreier's lemma: with t a transversal of v's orbit, G_v is generated
-    by t[x] * s * t[x^s]^-1 over orbit points x and generators s.
+
+def stabilizer_from_transversal(G: PermGroup,
+                                t: dict[int, Perm]) -> PermGroup:
+    """Stabilizer G_v, where t is a transversal of v's orbit (t[v] = 1).
+
+    Schreier's lemma: G_v is generated by t[x] * s * t[x^s]^-1 over
+    orbit points x and generators s.
     """
-    t = G.transversal_from(v)
     schreier = dict.fromkeys(t[x] * s * t[s.images[x]].inv()
                              for x in t for s in G.generators)
     return PermGroup(G.degree, schreier)

@@ -3,9 +3,9 @@
 The cascade mirrors the structural proof strategy but is case-agnostic:
 (1) validate the supplied automorphisms, (2) list the block systems
 generated by pairs of points, (3) try cycle lifting through a
-semiregular p-element for each prime p dividing n, (4) record whether
-the Jackson sufficient condition holds, (5) run the exact solver within
-budget.
+semiregular p-element for each prime p dividing n, largest first, (4)
+record whether the Jackson sufficient condition holds, (5) run the exact
+solver within budget.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .graphs import Graph, structure_report
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        find_hamilton_cycle, find_hamilton_path,
                        jackson_condition, verify_hamilton)
-from .lift import lift_hamilton
+from .lift import lift_hamilton, voltages_are_coboundary
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, Perm, PermGroup, block_systems,
                     find_semiregular)
@@ -147,7 +147,8 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                  "outcome": f"cell sizes {report.block_cell_sizes}"})
 
     if G is not None:
-        for p in _primes(X.n):
+        # largest p first: its quotient, with n/p cells, is the smallest
+        for p in reversed(_primes(X.n)):
             rho = find_semiregular(G, p, seed=seed)
             if rho is None:
                 # find_semiregular scans every element up to the cap
@@ -174,8 +175,13 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                 report.result = "certificate"
                 report.certificate = cert
                 return report
+            # lift_hamilton returns None after either proof; this O(n + e)
+            # test names the one that decided, without a second decomposition
             report.strategy_trace.append(
-                {"strategy": f"lift_p{p}", "outcome": "no lift"})
+                {"strategy": f"lift_p{p}",
+                 "outcome": ("no lift (voltages are a coboundary)"
+                             if voltages_are_coboundary(X, rho)
+                             else "no lift")})
 
     # recorded only: the exact search below decides either way
     met = jackson_condition(X)

@@ -8,6 +8,7 @@ from hamvt import HamiltonCertificate, Perm, catalog, verify_hamilton
 from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NONE,
                        EXIT_UNKNOWN, main, parse_cycle_notation)
 from hamvt.pipeline import MalformedInput
+from test_lift import km_c3
 
 
 class TestCycleNotation:
@@ -89,6 +90,24 @@ class TestCommands:
         grp.write_text(json.dumps({"degree": 30, "generators": [rot]}))
         assert main(["analyze", "--graph", str(g),
                      "--group", str(grp)]) == EXIT_FOUND
+
+    def test_analyze_coboundary_lift(self, tmp_path, capsys):
+        # the enumeration of K_12's quotient cycles needs more than 10^7
+        # nodes; the coboundary proof needs none
+        X, rho = km_c3(12)
+        g = tmp_path / "g.json"
+        write_graph(g, X)
+        grp = tmp_path / "grp.json"
+        grp.write_text(json.dumps({"degree": X.n,
+                                   "generators": [list(rho.images)]}))
+        assert main(["--budget", "1000", "analyze", "--graph", str(g),
+                     "--group", str(grp)]) == EXIT_FOUND
+        out = json.loads(capsys.readouterr().out)
+        cert = HamiltonCertificate.from_json(out["certificate"])
+        assert verify_hamilton(X, cert)
+        outcomes = {s["strategy"]: s["outcome"]
+                    for s in out["strategy_trace"]}
+        assert outcomes["lift_p3"] == "no lift (voltages are a coboundary)"
 
     def test_analyze_bad_group(self, tmp_path, capsys):
         g = tmp_path / "g.json"

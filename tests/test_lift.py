@@ -1,6 +1,7 @@
 """Voltage assignment, cycle voltages, and the lift dichotomy."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from hamvt import (BudgetExhausted, Graph, InvalidChoice, NotAutomorphism,
                    NotSemiregular,
                    Perm, cycle_voltage, decompose, lift_hamilton,
                    lifted_components, quotient_graph, verify_hamilton,
-                   voltage_assignment)
+                   voltage_assignment, voltages_are_coboundary)
 from hamvt.products import catalog
 
 
@@ -130,6 +131,33 @@ class TestDichotomy:
                            Perm((3, 4, 5, 0, 1, 2)), 2) > 0
         assert self._check(catalog("circulant:15:1,4"), shift(15, 3), 5) > 0
 
+    def test_random_derived_graphs(self):
+        # single voltages on small connected quotients, half of them a
+        # coboundary by construction: the precheck must agree with the
+        # full enumeration either way
+        rng = random.Random(4093)
+        kinds = Counter()
+        for _ in range(100):
+            m = rng.randint(2, 7)
+            p = rng.choice([2, 3, 5, 7])
+            while True:
+                edges = [(a, b) for a in range(m) for b in range(a + 1, m)
+                         if rng.random() < 0.6]
+                if Graph.from_edges(m, edges).is_connected():
+                    break
+            if rng.random() < 0.5:
+                f = [rng.randrange(p) for _ in range(m)]
+                volt = {(a, b): (f[b] - f[a]) % p for a, b in edges}
+            else:
+                volt = {e: rng.randrange(p) for e in edges}
+            X, rho = derived(m, p, edges, volt)
+            self._check(X, rho, p)
+            kinds[voltages_are_coboundary(X, rho),
+                  lift_hamilton(X, rho, p) is not None] += 1
+        # proved by the precheck, enumerated in vain, and lifted
+        assert kinds.keys() == {(True, False), (False, False), (False, True)}
+        assert min(kinds.values()) >= 10
+
     def test_random_circulants(self):
         rng = random.Random(1729)
         done = 0
@@ -175,11 +203,53 @@ class TestLiftHamilton:
         assert cert is not None and verify_hamilton(X, cert)
 
     def test_budget_bounds_the_quotient_enumeration(self):
-        # K_8 x C_3: every cross voltage is 0, so no quotient cycle lifts
-        X, rho = km_c3(8)
+        # voltage 1 on one edge of the bridgeless Coxeter graph is not a
+        # coboundary, so the quotient's cycles are enumerated: it has none
+        base = catalog("coxeter")
+        edges = base.edges()
+        X, rho = derived(base.n, 3, edges, {edges[0]: 1})
         assert lift_hamilton(X, rho, 3) is None
         with pytest.raises(BudgetExhausted):
             lift_hamilton(X, rho, 3, budget=1000)
+
+    @pytest.mark.parametrize("m", range(8, 13))
+    def test_coboundary_decides_without_enumeration(self, m):
+        # every cross voltage of K_m x C_3 is 0; budget=1 admits no search
+        X, rho = km_c3(m)
+        assert voltages_are_coboundary(X, rho)
+        assert lift_hamilton(X, rho, 3, budget=1) is None
+        sigma = random.Random(m).sample(range(X.n), X.n)
+        Y = Graph.from_edges(X.n, [(sigma[u], sigma[w])
+                                   for u, w in X.edges()])
+        images = [0] * X.n
+        for v in range(X.n):
+            images[sigma[v]] = sigma[rho.images[v]]
+        assert lift_hamilton(Y, Perm(tuple(images)), 3, budget=1) is None
+
+    def test_one_nonzero_voltage_is_not_a_coboundary(self):
+        X, rho = derived(12, 3, complete_edges(12), {(1, 3): 1})
+        assert not voltages_are_coboundary(X, rho)
+        assert not voltages_are_coboundary(*km_c3(1))  # one cell
+
+
+def complete_edges(m):
+    """Edges of the complete graph K_m."""
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+
+def derived(m, p, edges, volt):
+    """Z_p derived graph of a graph on m cells with one voltage per edge
+    (volt[(a, b)] for a < b, default 0), plus a p-cycle in each cell.
+
+    Vertex p*i + j is rep(i)^(rho^j), where rho rotates every cell, so
+    voltage j on (a, b) joins rep(a) to rep(b)^(rho^j).
+    """
+    pairs = {(p * a + i, p * b + (i + volt.get((a, b), 0)) % p)
+             for a, b in edges for i in range(p)}
+    pairs |= {tuple(sorted((p * a + i, p * a + (i + 1) % p)))
+              for a in range(m) for i in range(p)}
+    rho = Perm(tuple(p * (v // p) + (v % p + 1) % p for v in range(p * m)))
+    return Graph.from_edges(p * m, sorted(pairs)), rho
 
 
 def km_c3(m):

@@ -125,6 +125,20 @@ class TestOrbitalGraph:
                     for u, w in X.edges():
                         assert X.has_edge(g.images[u], g.images[w])
 
+    def test_one_table_and_transversal_per_call(self, monkeypatch):
+        G = s6_on_s4_cosets().group
+        calls = []
+        orig = PermGroup.transversal_from
+
+        def counted(self, v):
+            calls.append(v)
+            return orig(self, v)
+
+        monkeypatch.setattr(PermGroup, "transversal_from", counted)
+        og = orbital_graph(G, 0, [2])
+        assert calls == [0]
+        assert og.table == suborbits(G, 0)
+
     def test_valency_is_selection_length(self):
         tbl = suborbits(D5, 0)
         og = orbital_graph(D5, 0, [1, 2])

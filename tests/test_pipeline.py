@@ -11,7 +11,7 @@ from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
 from hamvt import pipeline
 from hamvt.perms import SEMIREGULAR_WORDS
 from hamvt.pipeline import _is_truncation_exception
-from test_lift import km_c3
+from test_lift import complete_edges, derived, km_c3
 
 
 class TestAnalyze:
@@ -86,11 +86,25 @@ class TestAnalyze:
         assert rep.vertex_transitive is None
 
     def test_lift_budget_exhausted_then_exact_search(self):
-        X, rho = km_c3(12)
+        # one voltage-1 edge: not a coboundary, and the first 9! quotient
+        # cycles in enumeration order avoid that edge, so none lifts
+        X, rho = derived(12, 3, complete_edges(12), {(1, 3): 1})
         rep = analyze(X, [rho], budget=10**5)
         outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
         assert outcomes["lift_p3"] == "budget exhausted"
         assert outcomes["exact_search"] == "found"
+        assert rep.result == "certificate"
+        assert verify_hamilton(X, rep.certificate)
+
+    def test_lift_decided_by_coboundary(self):
+        X, rho = km_c3(10)
+        rep = analyze(X, [rho])
+        lifts = [s for s in rep.strategy_trace
+                 if s["strategy"].startswith("lift")]
+        # largest prime first; <rho> has order 3
+        assert [s["strategy"] for s in lifts] == ["lift_p5", "lift_p3",
+                                                 "lift_p2"]
+        assert lifts[1]["outcome"] == "no lift (voltages are a coboundary)"
         assert rep.result == "certificate"
         assert verify_hamilton(X, rep.certificate)
 
