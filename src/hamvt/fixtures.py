@@ -12,7 +12,7 @@ from typing import Any
 
 from .gf2k import GF2k, field_make
 from .perms import CosetAction, Perm, PermGroup, coset_action
-from .products import catalog, catalog_gens
+from .products import BadParams, _int_params, catalog, catalog_gens
 
 INFINITY = 16
 
@@ -94,6 +94,9 @@ def cyclic_gens(n: int) -> list[Perm]:
     return [Perm(tuple((i + 1) % n for i in range(n)))]
 
 
+#: Families named ``<family>:<n>`` for n >= 1 points.
+_FAMILIES = {"dihedral": dihedral_gens, "cyclic": cyclic_gens}
+
 _BUILDERS = {
     "psl2_16_gens": lambda: Fixture(
         "psl2_16_gens", psl2_16_gens()[1],
@@ -127,14 +130,17 @@ _BUILDERS = {
 
 
 def fixture(name: str) -> Fixture:
-    """Deterministic named fixture; see _BUILDERS for the inventory."""
+    """Deterministic named fixture; see _BUILDERS and _FAMILIES.
+
+    Raises UnknownFixture for an unknown name and BadParams for a
+    family size that is missing, not an integer or below 1.
+    """
     if name in _BUILDERS:
         return _BUILDERS[name]()
-    base = name.split(":")[0]
-    if base == "dihedral":
-        n = int(name.split(":")[1])
-        return Fixture(name, dihedral_gens(n), f"dihedral group on {n} points")
-    if base == "cyclic":
-        n = int(name.split(":")[1])
-        return Fixture(name, cyclic_gens(n), f"cyclic group on {n} points")
-    raise UnknownFixture(name)
+    base, *params = name.split(":")
+    if base not in _FAMILIES:
+        raise UnknownFixture(name)
+    (n,) = _int_params(params, 1, base)
+    if n < 1:
+        raise BadParams(f"{base} needs n >= 1")
+    return Fixture(name, _FAMILIES[base](n), f"{base} group on {n} points")

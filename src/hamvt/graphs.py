@@ -241,10 +241,6 @@ def quotient_multigraph(X: Graph, cells) -> QuotientMulti:
     covered = sorted(v for c in cells for v in c)
     if covered != list(range(X.n)):
         raise ValueError("cells do not partition the vertex set")
-    cell_of = {}
-    for i, c in enumerate(cells):
-        for v in c:
-            cell_of[v] = i
     m = len(cells)
     internal = []
     cross = [[0] * m for _ in range(m)]

@@ -3,8 +3,9 @@
 Permutations are 0-based image arrays acting on the right: the image of
 point ``i`` under ``g`` is ``g.images[i]``, and ``(g * h)`` means "apply
 ``g`` first, then ``h``".  Groups carry a deterministic stabilizer chain
-with base 0, 1, 2, ..., n-1, built once on first use.  Point stabilizers
-come from Schreier generators of a breadth-first transversal, no chain.
+with base 0, 1, 2, ..., n-1, built once on first use by one Schreier-Sims
+pass that sifts each Schreier generator once.  Point stabilizers come
+from Schreier generators of a breadth-first transversal, no chain.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class Perm:
         return sorted(lens)
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(1, *(len(c) for c in self.cycles()))
 
 
 def _transversal(degree: int, gens, v: int) -> dict[int, Perm]:
@@ -123,26 +124,44 @@ def _transversal(degree: int, gens, v: int) -> dict[int, Perm]:
 
 
 class _Chain:
-    """Stabilizer chain with the full fixed base 0, 1, ..., n-1."""
+    """Stabilizer chain with the full fixed base 0, 1, ..., n-1.
+
+    ``trans[i]`` maps each point x of the orbit of i under the
+    stabilizer of 0, ..., i-1 to an element taking i to x.  One
+    Schreier-Sims pass builds it: every level keeps its own generators
+    and grows its transversal in place, and each Schreier generator
+    t[x] * s * t[x^s]^-1 is sifted exactly once, when its point x or
+    its generator s is new at that level.  A residue that fails at
+    level j joins the generators of every level from the one it came
+    from down to j.
+    """
 
     def __init__(self, degree: int, gens: list[Perm]):
         self.degree = degree
-        self.strong: list[Perm] = []
-        # trans[i]: point -> perm t with i^t... the transversal maps base
-        # point i to the orbit point under the stabilizer of 0..i-1.
         self.trans: list[dict[int, Perm]] = [
             {i: Perm.identity(degree)} for i in range(degree)
         ]
-        for g in gens:
-            self._add(g)
-        self._close()
-
-    def _level_gens(self, i: int) -> list[Perm]:
-        return [g for g in self.strong
-                if all(g.images[b] == b for b in range(i))]
-
-    def _rebuild(self, i: int) -> None:
-        self.trans[i] = _transversal(self.degree, self._level_gens(i), i)
+        level_gens: list[list[Perm]] = [[] for _ in range(degree)]
+        work = [(g, 0) for g in reversed(gens)]  # (element, first level)
+        while work:
+            g, first = work.pop()
+            h, j = self.strip(g)
+            if j == degree:
+                continue
+            for i in range(first, j + 1):
+                t, s_i = self.trans[i], level_gens[i]
+                s_i.append(h)
+                points = list(t)
+                old = len(points)
+                for k, x in enumerate(points):  # grows while walked
+                    for s in (s_i if k >= old else (h,)):
+                        y = s.images[x]
+                        ts = t[x] * s
+                        if y not in t:
+                            t[y] = ts
+                            points.append(y)
+                        elif ts != t[y]:
+                            work.append((ts * t[y].inv(), i + 1))
 
     def strip(self, g: Perm) -> tuple[Perm, int]:
         h = g
@@ -154,32 +173,6 @@ class _Chain:
                 return h, i
             h = h * self.trans[i][x].inv()
         return h, self.degree
-
-    def _add(self, g: Perm) -> bool:
-        h, j = self.strip(g)
-        if h.is_identity():
-            return False
-        self.strong.append(h)
-        for i in range(j + 1):
-            self._rebuild(i)
-        return True
-
-    def _close(self) -> None:
-        # process Schreier generators until a clean pass
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.degree):
-                t = self.trans[i]
-                if len(t) == 1 and not self._level_gens(i):
-                    continue
-                gens_i = self._level_gens(i)
-                for x in sorted(t):
-                    for s in gens_i:
-                        y = s.images[x]
-                        schreier = t[x] * s * self.trans[i][y].inv()
-                        if self._add(schreier):
-                            changed = True
 
     def order(self) -> int:
         n = 1

@@ -263,9 +263,62 @@ def _prism_gens(t: int) -> list[Perm]:
     return [Perm(tuple(rot)), Perm(tuple(swap))]
 
 
-def _parse(name: str) -> tuple[str, list[str]]:
-    parts = name.split(":")
-    return parts[0], parts[1:]
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _complete_gens(n: int) -> list[Perm]:
+    if n == 1:
+        return [Perm.identity(1)]
+    gens = [_rotation(n)]
+    if n > 2:
+        sw = list(range(n))
+        sw[0], sw[1] = 1, 0
+        gens.append(Perm(tuple(sw)))
+    return gens
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(
+        a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _complete_bipartite_gens(a: int, b: int) -> list[Perm]:
+    gens = []
+    if a > 1:
+        gens.append(Perm(tuple([(i + 1) % a for i in range(a)]
+                               + list(range(a, a + b)))))
+    if b > 1:
+        gens.append(Perm(tuple(list(range(a))
+                               + [a + (i + 1) % b for i in range(b)])))
+    if a == b:
+        gens.append(Perm(tuple([a + i for i in range(a)] + list(range(a)))))
+    return gens or [Perm.identity(a + b)]
+
+
+#: name -> (graph builder, automorphism generators), both taking the
+#: parameters that ``_spec`` returns.
+_CATALOG = {
+    "petersen": (_petersen, _petersen_gens),
+    "coxeter": (_coxeter, _coxeter_gens),
+    "truncated_petersen": (
+        lambda: truncate_cubic(_petersen()),
+        lambda: [truncation_lift(_petersen(), g) for g in _petersen_gens()]),
+    "truncated_coxeter": (
+        lambda: truncate_cubic(_coxeter()),
+        lambda: [truncation_lift(_coxeter(), g) for g in _coxeter_gens()]),
+    "heawood": (lambda: _heawood_edges(True), _heawood_gens),
+    "non_incidence_pg22": (lambda: _heawood_edges(False), _heawood_gens),
+    "crown": (_crown, _crown_gens),
+    "circulant": (_circulant, lambda n, steps: [_rotation(n)]),
+    "prism": (_prism, _prism_gens),
+    "complete": (_complete, _complete_gens),
+    "complete_bipartite": (_complete_bipartite, _complete_bipartite_gens),
+}
+#: Least value of each integer parameter of the parametrized entries.
+_MINIMA = {"crown": (2,), "prism": (3,), "complete": (1,),
+           "complete_bipartite": (1, 1)}
 
 
 def _int_params(params, count, what) -> list[int]:
@@ -277,110 +330,52 @@ def _int_params(params, count, what) -> list[int]:
         raise BadParams(str(e)) from None
 
 
+def _spec(name: str) -> tuple[str, tuple]:
+    """Parse and validate a catalog name into (entry, parameters).
+
+    The one parser behind ``catalog`` and ``catalog_gens``: raises
+    UnknownName for an unknown entry and BadParams for parameters that
+    are malformed or out of range.
+    """
+    base, *params = name.split(":")
+    if base not in _CATALOG:
+        raise UnknownName(name)
+    if base == "circulant":
+        if len(params) != 2:
+            raise BadParams("circulant expects n and a step list")
+        steps = params[1].split(",")
+        n, *steps = _int_params([params[0], *steps], 1 + len(steps),
+                                "circulant")
+        if n < 3 or any(s % n == 0 for s in steps):
+            raise BadParams("circulant needs n >= 3 and steps not 0 mod n")
+        return base, (n, steps)
+    if base not in _MINIMA:
+        return base, ()
+    minima = _MINIMA[base]
+    values = _int_params(params, len(minima), base)
+    if any(v < lo for v, lo in zip(values, minima)):
+        raise BadParams(f"{base} parameters must be at least "
+                        + ", ".join(map(str, minima)))
+    return base, tuple(values)
+
+
 def catalog(name: str) -> Graph:
     """Named graph under a fixed labeling (see module docstring).
 
     Parameters ride along in the name: ``crown:5``, ``circulant:30:1,6``,
     ``prism:7``, ``complete:5``, ``complete_bipartite:3:3``.
     """
-    base, params = _parse(name)
-    if base == "petersen":
-        return _petersen()
-    if base == "coxeter":
-        return _coxeter()
-    if base == "truncated_petersen":
-        return truncate_cubic(_petersen())
-    if base == "truncated_coxeter":
-        return truncate_cubic(_coxeter())
-    if base == "heawood":
-        return _heawood_edges(True)
-    if base == "non_incidence_pg22":
-        return _heawood_edges(False)
-    if base == "crown":
-        (p,) = _int_params(params, 1, "crown")
-        if p < 2:
-            raise BadParams("crown needs p >= 2")
-        return _crown(p)
-    if base == "circulant":
-        if len(params) != 2:
-            raise BadParams("circulant expects n and a step list")
-        try:
-            n = int(params[0])
-            steps = [int(s) for s in params[1].split(",")]
-        except ValueError as e:
-            raise BadParams(str(e)) from None
-        if n < 3 or any(s % n == 0 for s in steps) or not steps:
-            raise BadParams("bad circulant parameters")
-        return _circulant(n, steps)
-    if base == "prism":
-        (t,) = _int_params(params, 1, "prism")
-        if t < 3:
-            raise BadParams("prism needs t >= 3")
-        return _prism(t)
-    if base == "complete":
-        (n,) = _int_params(params, 1, "complete")
-        if n < 1:
-            raise BadParams("complete needs n >= 1")
-        return Graph.from_edges(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if base == "complete_bipartite":
-        a, b = _int_params(params, 2, "complete_bipartite")
-        if a < 1 or b < 1:
-            raise BadParams("parts must be nonempty")
-        return Graph.from_edges(
-            a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    raise UnknownName(name)
+    base, params = _spec(name)
+    return _CATALOG[base][0](*params)
 
 
-def catalog_gens(name: str) -> list[Perm] | None:
+def catalog_gens(name: str) -> list[Perm]:
     """Documented automorphism generators for a catalog graph.
 
     Vertex-transitive for every entry except ``coxeter`` and
     ``truncated_coxeter``: both get the same order-21 subgroup, which
-    has 2 orbits on the Coxeter graph and 4 on its truncation.  None
-    when no generators are documented.
+    has 2 orbits on the Coxeter graph and 4 on its truncation.  Names
+    are validated as in ``catalog``.
     """
-    base, params = _parse(name)
-    if base == "petersen":
-        return _petersen_gens()
-    if base == "coxeter":
-        return _coxeter_gens()
-    if base == "truncated_petersen":
-        return [truncation_lift(_petersen(), g) for g in _petersen_gens()]
-    if base == "truncated_coxeter":
-        return [truncation_lift(_coxeter(), g) for g in _coxeter_gens()]
-    if base == "heawood" or base == "non_incidence_pg22":
-        return _heawood_gens()
-    if base == "crown":
-        (p,) = _int_params(params, 1, "crown")
-        return _crown_gens(p)
-    if base == "circulant":
-        n = _int_params(params[:1], 1, "circulant")[0]
-        return [_rotation(n)]
-    if base == "prism":
-        (t,) = _int_params(params, 1, "prism")
-        return _prism_gens(t)
-    if base == "complete":
-        (n,) = _int_params(params, 1, "complete")
-        if n == 1:
-            return [Perm.identity(1)]
-        gens = [_rotation(n)]
-        if n > 2:
-            sw = list(range(n))
-            sw[0], sw[1] = 1, 0
-            gens.append(Perm(tuple(sw)))
-        return gens
-    if base == "complete_bipartite":
-        a, b = _int_params(params, 2, "complete_bipartite")
-        gens = []
-        if a > 1:
-            gens.append(Perm(tuple([(i + 1) % a for i in range(a)]
-                                   + list(range(a, a + b)))))
-        if b > 1:
-            gens.append(Perm(tuple(list(range(a))
-                                   + [a + (i + 1) % b for i in range(b)])))
-        if a == b:
-            gens.append(Perm(tuple([a + i for i in range(a)]
-                                   + list(range(a)))))
-        return gens or [Perm.identity(a + b)]
-    return None
+    base, params = _spec(name)
+    return _CATALOG[base][1](*params)

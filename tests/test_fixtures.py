@@ -2,7 +2,7 @@
 
 import pytest
 
-from hamvt import PermGroup
+from hamvt import BadParams, PermGroup
 from hamvt.fixtures import (INFINITY, UnknownFixture, fixture, moebius_perm,
                             psl2_16_gens)
 
@@ -72,3 +72,8 @@ class TestInventory:
     def test_unknown(self):
         with pytest.raises(UnknownFixture):
             fixture("nope")
+
+    @pytest.mark.parametrize("name", ["cyclic", "cyclic:x", "dihedral:0"])
+    def test_bad_family_size(self, name):
+        with pytest.raises(BadParams):
+            fixture(name)

@@ -139,6 +139,54 @@ class TestGroup:
             point_stabilizer(D5, v)
 
 
+class TestChain:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_two_generator_group_matches_naive_closure(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed % 7  # degrees 2..8
+        gens = []
+        for _ in range(2):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(Perm(tuple(images)))
+        G = PermGroup(n, gens)
+        elems = naive_closure(n, gens)
+        listed = list(G.elements())
+        assert len(listed) == len(elems) == G.order()
+        assert set(listed) == elems
+        for _ in range(20):
+            images = list(range(n))
+            rng.shuffle(images)
+            g = Perm(tuple(images))
+            assert G.contains(g) == (g in elems)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_symmetric_group_order(self, n):
+        from math import factorial
+
+        from hamvt import catalog_gens
+        assert PermGroup(n, catalog_gens(f"complete:{n}")).order() == \
+            factorial(n)
+
+    def test_psl2_16_chain_sifts_each_schreier_generator_once(
+            self, monkeypatch):
+        from hamvt import fixtures
+        from hamvt.perms import _Chain
+        act = coset_action(PermGroup(17, fixtures.psl2_16_gens()[1]),
+                           fixtures.psl2_16_h_gens())
+        calls = [0]
+        mul = Perm.__mul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Perm, "__mul__", counted)
+        chain = _Chain(act.degree, list(act.group.generators))
+        assert chain.order() == 4080
+        assert calls[0] <= 800
+
+
 class TestBlocks:
     def test_minimal_block_examples(self):
         Z6 = PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])

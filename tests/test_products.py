@@ -132,6 +132,15 @@ class TestCatalog:
             catalog("complete:x")
 
     @pytest.mark.parametrize("name", [
+        "crown:1", "prism:2", "complete:0", "circulant:5", "circulant:6:0",
+    ])
+    def test_graph_and_gens_reject_the_same_names(self, name):
+        with pytest.raises(BadParams):
+            catalog(name)
+        with pytest.raises(BadParams):
+            catalog_gens(name)
+
+    @pytest.mark.parametrize("name", [
         "petersen", "coxeter", "truncated_petersen", "truncated_coxeter",
         "heawood", "non_incidence_pg22", "crown:5", "circulant:12:1,3",
         "prism:6", "complete:5", "complete_bipartite:3:3",
