@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, structure_report
+from .graphs import Graph, StructureReport, structure_report
 
 DEFAULT_BUDGET = 10**9
 
@@ -59,9 +59,14 @@ def verify_hamilton(X: Graph, cert: HamiltonCertificate) -> bool:
 
 def jackson_condition(X: Graph) -> bool:
     """2-connected, regular, valency at least a third of the order."""
-    rep = structure_report(X)
+    return jackson_met(structure_report(X), X.n)
+
+
+def jackson_met(rep: StructureReport, n: int) -> bool:
+    """The Jackson condition, read off the structure report of a graph
+    on n vertices."""
     return (rep.two_connected and rep.regular is not None
-            and 3 * rep.regular >= X.n)
+            and 3 * rep.regular >= n)
 
 
 class _Search:
@@ -78,6 +83,16 @@ class _Search:
     with v1 < vk.  Find modes try the neighbour with the fewest unvisited
     neighbours first (Warnsdorff's rule), ties by index; "all" explores
     every branch anyway and takes candidates in index order.
+
+    The prune expands a path only if its region (the unvisited vertices
+    and the end) is connected and every unvisited vertex has two usable
+    neighbours: the unvisited, the end, and the start when the cycle may
+    close through it.  A path search lets one vertex, its far end, have
+    only one.  A full sweep sets this up once per root; after that each
+    node checks only what its step changed.  When the end u steps to v,
+    the region loses u and only the unvisited neighbours of u lose a
+    usable neighbour, so those are recounted, and the region stays
+    connected if a search from v reaches all of them.
     """
 
     def __init__(self, X: Graph, mode: str, budget: int):
@@ -105,16 +120,13 @@ class _Search:
                     best, key = b, k
             return best
 
-        def dead(v: int, rem: int) -> bool:
-            """No Hamilton completion of a path ending at v can exist."""
-            if cyclic and not closers & rem:
-                return True
-            if not rem & (rem - 1):  # one vertex left: it must follow v
-                return not adj[v] & rem
+        def sweep(v: int, rem: int) -> int | None:
+            """The prune at a root (v): None if no Hamilton completion
+            exists, else the unvisited vertices with one usable neighbour.
+            """
             # one breadth-first sweep from v over the unvisited vertices
             # checks that they stay connected to v and counts each one's
-            # usable neighbours (the unvisited, v, and the start if the
-            # cycle may close through it) in the bitmasks ones and twos
+            # usable neighbours in the bitmasks ones and twos
             ends = rem | 1 << v
             seen = frontier = 1 << v
             ones, twos = closers, 0
@@ -130,12 +142,44 @@ class _Search:
                 frontier = nxt & ends & ~seen
                 seen |= frontier
             if seen != ends:
-                return True
-            # a cycle needs two usable neighbours at every unvisited
-            # vertex; a path lets one vertex, its far end, have only one
+                return None
             short = rem & ~twos
-            return bool(short and (cyclic or short & ~ones
-                                   or short & (short - 1)))
+            if short and (cyclic or short & ~ones or short & (short - 1)):
+                return None
+            return short
+
+        def step(u: int, v: int, rem: int, short: int) -> int | None:
+            """The prune after the end u of a live path steps to v, given
+            the parent's short vertices; returns as ``sweep`` does."""
+            region = rem | 1 << v
+            touched = cand = adj[u] & rem
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                k = (adj[b.bit_length() - 1] & region).bit_count()
+                if closers & b:
+                    k += 1
+                if k < 2:
+                    if cyclic or not k:
+                        return None
+                    short |= b
+            short &= rem
+            if short & (short - 1):
+                return None
+            # the region minus u is connected iff v reaches every other
+            # neighbour of u in it
+            seen = frontier = 1 << v
+            while touched & ~seen:
+                if not frontier:
+                    return None
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    nxt |= adj[b.bit_length() - 1]
+                frontier = nxt & region & ~seen
+                seen |= frontier
+            return short
 
         if self.mode == "all":
             start = 0
@@ -146,12 +190,15 @@ class _Search:
         path: list[int] = []
         visited = 0
         nodes, budget = self.nodes, self.budget
-        # each frame is the bitmask of candidates not yet tried there
+        # each frame is the bitmask of candidates not yet tried there;
+        # shorts[i] holds the short vertices of the path that owns frame i
         stack = [1 << start if cyclic else full]
+        shorts = [0]
         while stack:
             frame = stack[-1]
             if not frame:
                 stack.pop()
+                shorts.pop()
                 if path:
                     visited ^= 1 << path.pop()
                 continue
@@ -167,10 +214,20 @@ class _Search:
             if cyclic and len(path) == 2:
                 closers = adj[start] >> (v + 1) << (v + 1)
             rem = full & ~visited
-            if rem and not dead(v, rem):
-                stack.append(adj[v] & rem)
-                continue
-            if not rem and (not cyclic or closers & b):
+            if rem:
+                if cyclic and not closers & rem:
+                    short = None
+                elif not rem & (rem - 1):  # one vertex left: it must follow v
+                    short = 0 if adj[v] & rem else None
+                elif len(path) == 1:
+                    short = sweep(v, rem)
+                else:
+                    short = step(path[-2], v, rem, shorts[-1])
+                if short is not None:
+                    stack.append(adj[v] & rem)
+                    shorts.append(short)
+                    continue
+            elif not cyclic or closers & b:
                 self.nodes = nodes
                 yield tuple(path)
             path.pop()

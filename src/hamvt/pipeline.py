@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, structure_report
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
-                       find_hamilton_cycle, find_hamilton_path,
-                       jackson_condition, verify_hamilton)
+                       find_hamilton_cycle, find_hamilton_path, jackson_met,
+                       verify_hamilton)
 from .lift import lift_hamilton, voltages_are_coboundary
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, Perm, PermGroup, block_systems,
@@ -184,7 +184,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                              else "no lift")})
 
     # recorded only: the exact search below decides either way
-    met = jackson_condition(X)
+    met = jackson_met(rep, X.n)
     report.strategy_trace.append(
         {"strategy": "jackson",
          "outcome": "condition met" if met else "condition not met"})

@@ -349,9 +349,7 @@ def _spec(name: str) -> tuple[str, tuple]:
         if n < 3 or any(s % n == 0 for s in steps):
             raise BadParams("circulant needs n >= 3 and steps not 0 mod n")
         return base, (n, steps)
-    if base not in _MINIMA:
-        return base, ()
-    minima = _MINIMA[base]
+    minima = _MINIMA.get(base, ())  # the fixed entries take none
     values = _int_params(params, len(minima), base)
     if any(v < lo for v, lo in zip(values, minima)):
         raise BadParams(f"{base} parameters must be at least "

@@ -9,7 +9,7 @@ from itertools import permutations
 
 import numpy as np
 
-from hamvt import Graph, Perm
+from hamvt import BudgetExhausted, Graph, Perm
 
 
 def naive_closure(degree: int, gens) -> set[Perm]:
@@ -105,6 +105,73 @@ def held_karp_cycle(X: Graph) -> bool:
                 ext ^= b
                 dp[mask | b] |= b
     return bool(dp[(1 << n) - 1] & adj[0])
+
+
+class ReferenceSearch:
+    """``hamilton._Search`` with its prune recomputed in full at every
+    node, by one breadth-first sweep over the unvisited vertices.
+
+    Same modes, start, orientation rule, candidate order, node count and
+    budget as the library engine, written as a recursive generator.
+    """
+
+    def __init__(self, X: Graph, mode: str, budget: int):
+        self.X, self.mode, self.budget = X, mode, budget
+        self.nodes = 0
+
+    def __iter__(self):
+        X, n = self.X, self.X.n
+        adj = [sum(1 << w for w in X.adj[v]) for v in range(n)]
+        full = (1 << n) - 1
+        cyclic = self.mode != "path"
+        start = (0 if self.mode == "all" else
+                 min(range(n), key=lambda v: (len(X.adj[v]), v)))
+
+        def dead(v, rem, closers):
+            if cyclic and not closers & rem:
+                return True
+            if not rem & (rem - 1):
+                return not adj[v] & rem
+            ends = rem | 1 << v
+            seen = frontier = 1 << v
+            ones, twos = closers, 0
+            while frontier:
+                nxt = 0
+                for w in range(n):
+                    if frontier >> w & 1:
+                        twos |= ones & adj[w]
+                        ones |= adj[w]
+                        nxt |= adj[w]
+                frontier = nxt & ends & ~seen
+                seen |= frontier
+            short = rem & ~twos
+            return seen != ends or bool(
+                short and (cyclic or short & ~ones or short & (short - 1)))
+
+        def order(cand, rem):
+            ws = [w for w in range(n) if cand >> w & 1]
+            if self.mode != "all":
+                ws.sort(key=lambda w: ((adj[w] & rem).bit_count(), w))
+            return ws
+
+        def push(path, visited, closers):
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExhausted
+            v = path[-1]
+            if cyclic and len(path) == 2:
+                closers = adj[start] >> (v + 1) << (v + 1)
+            rem = full & ~visited
+            if not rem:
+                if not cyclic or closers >> v & 1:
+                    yield tuple(path)
+            elif not dead(v, rem, closers):
+                for w in order(adj[v] & rem, rem):
+                    yield from push(path + [w], visited | 1 << w, closers)
+
+        closers = adj[start] if cyclic else 0
+        for root in [start] if cyclic else order(full, full):
+            yield from push([root], 1 << root, closers)
 
 
 def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:

@@ -313,3 +313,16 @@ def test_criterion_10_catalog_hamiltonicity():
         assert res.status == "found" and \
             verify_hamilton(X, res.certificate), name
     report(10, True, f"verified Hamilton cycles on: {', '.join(names)}")
+
+
+def test_criterion_11_truncated_coxeter():
+    t0 = time.perf_counter()
+    X = catalog("truncated_coxeter")
+    rep = analyze(X, catalog_gens("truncated_coxeter"))
+    ok = (rep.result == "no_hamilton_cycle"
+          and rep.path_certificate is not None
+          and verify_hamilton(X, rep.path_certificate))
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 60
+    report(11, ok, f"truncated Coxeter: proven no cycle, path found, "
+                   f"{elapsed:.1f}s (< 60s)")

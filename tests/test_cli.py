@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hamvt import HamiltonCertificate, Perm, catalog, verify_hamilton
+from hamvt import (BadParams, HamiltonCertificate, Perm, catalog,
+                   catalog_gens, verify_hamilton)
 from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NONE,
                        EXIT_UNKNOWN, main, parse_cycle_notation)
 from hamvt.pipeline import MalformedInput
@@ -44,6 +45,17 @@ class TestCommands:
 
     def test_catalog_unknown(self, capsys):
         assert main(["catalog", "zorp"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", [
+        "petersen:3", "coxeter:1", "truncated_petersen:2",
+        "truncated_coxeter:0", "heawood:9", "non_incidence_pg22:x",
+    ])
+    def test_fixed_entries_reject_parameters(self, name, capsys):
+        with pytest.raises(BadParams):
+            catalog(name)
+        with pytest.raises(BadParams):
+            catalog_gens(name)
+        assert main(["catalog", name]) == EXIT_INPUT
 
     def test_solve_found(self, tmp_path, capsys):
         assert main(["solve", "--catalog", "complete:5"]) == EXIT_FOUND

@@ -1,5 +1,6 @@
 """Exact solver against the permutation-enumeration oracle."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -9,8 +10,9 @@ from hamvt import (BudgetExhausted, Graph, HamiltonCertificate,
                    iter_hamilton_cycles, jackson_condition, orbital_graph,
                    suborbits, verify_hamilton)
 from hamvt.fixtures import s6_on_s4_cosets
+from hamvt.hamilton import _Search
 from hamvt.products import catalog
-from oracles import (held_karp_cycle, naive_hamilton_cycle,
+from oracles import (ReferenceSearch, held_karp_cycle, naive_hamilton_cycle,
                      naive_hamilton_path)
 
 SMALL_CORPUS = [
@@ -154,6 +156,45 @@ class TestIterCycles:
         assert len(list(iter_hamilton_cycles(K7, budget=10**5))) == 360
 
 
+def random_graph(rng: random.Random) -> Graph:
+    """A seeded G(n, p), n <= 14; one in five splits into two parts."""
+    n = rng.randint(3, 14)
+    p = rng.choice((0.2, 0.35, 0.5, 0.8))
+    cut = rng.randrange(1, n) if rng.random() < 0.2 else 0
+    return Graph.from_edges(n, [(a, b) for a, b in combinations(range(n), 2)
+                                if (a < cut) == (b < cut)
+                                and rng.random() < p])
+
+
+def run(search) -> tuple[list, int, bool]:
+    """Every sequence the search yields, its node count, and whether it
+    ran out of budget."""
+    out = []
+    try:
+        for seq in search:
+            out.append(seq)
+    except BudgetExhausted:
+        return out, search.nodes, True
+    return out, search.nodes, False
+
+
+class TestIncrementalPrune:
+    """The per-node local prune makes the same search as the full sweep."""
+
+    @pytest.mark.parametrize("mode", ["cycle", "path", "all"])
+    def test_matches_full_sweep_reference(self, mode):
+        rng = random.Random(f"prune-{mode}")
+        exhausted = 0
+        for _ in range(200):
+            X = random_graph(rng)
+            for budget in (rng.randint(1, 40), 2000):
+                got = run(_Search(X, mode, budget))
+                assert got == run(ReferenceSearch(X, mode, budget)), \
+                    (X.n, sorted(X.edges()), budget)
+                exhausted += got[2]
+        assert exhausted >= 50  # the budget check is exercised too
+
+
 class TestNodeCounts:
     """Search-node counts do not depend on the machine, so they are pinned."""
 
@@ -179,3 +220,15 @@ class TestNodeCounts:
     def test_coxeter_none_proof(self):
         res = find_hamilton_cycle(catalog("coxeter"))
         assert res.status == "none" and res.nodes < 10_510
+
+    def test_long_cycle_is_linear(self):
+        res = find_hamilton_cycle(catalog("circulant:5000:1"))
+        assert (res.status, res.nodes) == ("found", 5000)
+
+    def test_coxeter_cycle_nodes(self):
+        res = find_hamilton_cycle(catalog("coxeter"))
+        assert (res.status, res.nodes) == ("none", 5366)
+
+    def test_truncated_coxeter_cycle_nodes(self):
+        res = find_hamilton_cycle(catalog("truncated_coxeter"))
+        assert (res.status, res.nodes) == ("none", 269_594)
