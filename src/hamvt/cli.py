@@ -2,7 +2,7 @@
 
 Exit codes: 0 = certificate found / success, 1 = proven no cycle (or
 invalid certificate for ``verify``), 2 = unknown (budget exhausted),
-3 = input error, 4 = internal error.
+3 = input error (usage errors included), 4 = internal error.
 """
 
 from __future__ import annotations
@@ -141,6 +141,16 @@ def _cmd_verify(args) -> int:
     return EXIT_FOUND if ok else EXIT_NONE
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {budget}")
+    return budget
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="path to graph JSON")
     p.add_argument("--catalog", help="catalog graph name")
@@ -151,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hamvt",
         description="Hamilton cycle certification for vertex-transitive "
                     "graphs")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    ap.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                     help="search-node budget for the exact solver and "
                          "for each lift's quotient-cycle enumeration")
     ap.add_argument("--seed", type=int, default=SEMIREGULAR_SEED,
@@ -194,7 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_FOUND if e.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except (MalformedInput, GroupDegreeMismatch, GroupNotAutomorphisms,

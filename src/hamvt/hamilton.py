@@ -26,7 +26,15 @@ class HamiltonCertificate:
 
     @staticmethod
     def from_json(d: dict) -> "HamiltonCertificate":
-        return HamiltonCertificate(d["kind"], tuple(d["sequence"]))
+        """Parse ``{"kind": "cycle" | "path", "sequence": [int, ...]}``;
+        ValueError on any other shape."""
+        if not isinstance(d, dict) or d.get("kind") not in ("cycle", "path"):
+            raise ValueError('certificate needs "kind": "cycle" or "path"')
+        seq = d.get("sequence")
+        if not isinstance(seq, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in seq):
+            raise ValueError('certificate "sequence" must be a list of ints')
+        return HamiltonCertificate(d["kind"], tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,21 @@ class _Search:
     the region loses u and only the unvisited neighbours of u lose a
     usable neighbour, so those are recounted, and the region stays
     connected if a search from v reaches all of them.
+
+    Cycle modes add the forced-chain rule (Vandegriend & Culberson, JAIR
+    9, 1998).  An unvisited vertex with exactly two usable neighbours
+    must use both edges, so a maximal chain of such vertices is a path
+    that every completion contains.  The node is dead if a chain closes
+    on itself or has the same vertex at both ends: either way it forces
+    a cycle that misses the rest.  The start at the root has two free
+    slots, but it counts twice for its neighbours, so a chain ends there
+    at both ends only as a lone neighbour with no other usable
+    neighbour, which never covers the two or more unvisited vertices a
+    sweep sees; equal ends are fatal there too.  The sweep walks every
+    chain; a step walks only the chains through the recounted vertices,
+    since a chain that avoids them is one the parent had, with the same
+    ends.  A path may end at a vertex with two usable neighbours, so path
+    mode has no such rule.
     """
 
     def __init__(self, X: Graph, mode: str, budget: int):
@@ -120,22 +143,49 @@ class _Search:
                     best, key = b, k
             return best
 
+        def broken(forced: int, rem: int, region: int) -> bool:
+            """Whether the maximal chain through one of the forced
+            vertices (unvisited, two usable neighbours) closes on itself
+            or has the same vertex at both ends."""
+            while forced:
+                w = (forced & -forced).bit_length() - 1
+                forced ^= 1 << w
+                link = adj[w] & region | (closers >> w & 1) << start
+                first = link & -link
+                ends = []
+                # at the root a neighbour of the start counts it twice,
+                # so link may be the start alone: both ends are the start
+                for b in (first, link ^ first or first):
+                    prev, x = w, b.bit_length() - 1
+                    while (rem >> x & 1 and (adj[x] & region).bit_count()
+                           + (closers >> x & 1) == 2):
+                        if x == w:
+                            return True
+                        forced &= ~(1 << x)
+                        link = adj[x] & region | (closers >> x & 1) << start
+                        prev, x = x, (link ^ 1 << prev).bit_length() - 1
+                    ends.append(x)
+                if ends[0] == ends[1]:
+                    return True
+            return False
+
         def sweep(v: int, rem: int) -> int | None:
             """The prune at a root (v): None if no Hamilton completion
             exists, else the unvisited vertices with one usable neighbour.
             """
             # one breadth-first sweep from v over the unvisited vertices
             # checks that they stay connected to v and counts each one's
-            # usable neighbours in the bitmasks ones and twos
+            # usable neighbours in the bitmasks ones, twos and threes
             ends = rem | 1 << v
             seen = frontier = 1 << v
-            ones, twos = closers, 0
+            ones, twos, threes = closers, 0, 0
             while frontier:
                 nxt = 0
                 while frontier:
                     b = frontier & -frontier
                     frontier ^= b
                     a = adj[b.bit_length() - 1]
+                    threes |= twos & a
                     twos |= ones & a
                     ones |= a
                     nxt |= a
@@ -146,6 +196,8 @@ class _Search:
             short = rem & ~twos
             if short and (cyclic or short & ~ones or short & (short - 1)):
                 return None
+            if cyclic and broken(rem & twos & ~threes, rem, ends):
+                return None
             return short
 
         def step(u: int, v: int, rem: int, short: int) -> int | None:
@@ -153,6 +205,7 @@ class _Search:
             the parent's short vertices; returns as ``sweep`` does."""
             region = rem | 1 << v
             touched = cand = adj[u] & rem
+            forced = 0
             while cand:
                 b = cand & -cand
                 cand ^= b
@@ -163,8 +216,12 @@ class _Search:
                     if cyclic or not k:
                         return None
                     short |= b
+                elif k == 2 and cyclic:
+                    forced |= b
             short &= rem
             if short & (short - 1):
+                return None
+            if broken(forced, rem, region):
                 return None
             # the region minus u is connected iff v reaches every other
             # neighbour of u in it

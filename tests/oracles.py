@@ -107,9 +107,10 @@ def held_karp_cycle(X: Graph) -> bool:
     return bool(dp[(1 << n) - 1] & adj[0])
 
 
-class ReferenceSearch:
-    """``hamilton._Search`` with its prune recomputed in full at every
-    node, by one breadth-first sweep over the unvisited vertices.
+class ChainFreeSearch:
+    """``hamilton._Search`` without its forced-chain rule, with the
+    prune recomputed in full at every node by one breadth-first sweep
+    over the unvisited vertices.
 
     Same modes, start, orientation rule, candidate order, node count and
     budget as the library engine, written as a recursive generator.
@@ -118,35 +119,39 @@ class ReferenceSearch:
     def __init__(self, X: Graph, mode: str, budget: int):
         self.X, self.mode, self.budget = X, mode, budget
         self.nodes = 0
+        n = X.n
+        self.adj = [sum(1 << w for w in X.adj[v]) for v in range(n)]
+        self.cyclic = mode != "path"
+        self.start = (0 if mode == "all" else
+                      min(range(n), key=lambda v: (len(X.adj[v]), v)))
+
+    def dead(self, path, rem, closers) -> bool:
+        """Whether the prune cuts the node with this path."""
+        adj, cyclic, v = self.adj, self.cyclic, path[-1]
+        if cyclic and not closers & rem:
+            return True
+        if not rem & (rem - 1):
+            return not adj[v] & rem
+        ends = rem | 1 << v
+        seen = frontier = 1 << v
+        ones, twos = closers, 0
+        while frontier:
+            nxt = 0
+            for w in range(self.X.n):
+                if frontier >> w & 1:
+                    twos |= ones & adj[w]
+                    ones |= adj[w]
+                    nxt |= adj[w]
+            frontier = nxt & ends & ~seen
+            seen |= frontier
+        short = rem & ~twos
+        return seen != ends or bool(
+            short and (cyclic or short & ~ones or short & (short - 1)))
 
     def __iter__(self):
-        X, n = self.X, self.X.n
-        adj = [sum(1 << w for w in X.adj[v]) for v in range(n)]
+        X, n, adj = self.X, self.X.n, self.adj
         full = (1 << n) - 1
-        cyclic = self.mode != "path"
-        start = (0 if self.mode == "all" else
-                 min(range(n), key=lambda v: (len(X.adj[v]), v)))
-
-        def dead(v, rem, closers):
-            if cyclic and not closers & rem:
-                return True
-            if not rem & (rem - 1):
-                return not adj[v] & rem
-            ends = rem | 1 << v
-            seen = frontier = 1 << v
-            ones, twos = closers, 0
-            while frontier:
-                nxt = 0
-                for w in range(n):
-                    if frontier >> w & 1:
-                        twos |= ones & adj[w]
-                        ones |= adj[w]
-                        nxt |= adj[w]
-                frontier = nxt & ends & ~seen
-                seen |= frontier
-            short = rem & ~twos
-            return seen != ends or bool(
-                short and (cyclic or short & ~ones or short & (short - 1)))
+        cyclic, start = self.cyclic, self.start
 
         def order(cand, rem):
             ws = [w for w in range(n) if cand >> w & 1]
@@ -165,13 +170,56 @@ class ReferenceSearch:
             if not rem:
                 if not cyclic or closers >> v & 1:
                     yield tuple(path)
-            elif not dead(v, rem, closers):
+            elif not self.dead(path, rem, closers):
                 for w in order(adj[v] & rem, rem):
                     yield from push(path + [w], visited | 1 << w, closers)
 
         closers = adj[start] if cyclic else 0
         for root in [start] if cyclic else order(full, full):
             yield from push([root], 1 << root, closers)
+
+
+class ReferenceSearch(ChainFreeSearch):
+    """``hamilton._Search`` with its whole prune recomputed at every
+    node: the full sweep, then in cycle modes the forced-chain rule,
+    walking the chain of every unvisited vertex that has exactly two
+    usable neighbours."""
+
+    def dead(self, path, rem, closers) -> bool:
+        if super().dead(path, rem, closers):
+            return True
+        if not self.cyclic or not rem & (rem - 1):
+            return False
+        X, v, start = self.X, path[-1], path[0]
+        unvisited = [w for w in range(X.n) if rem >> w & 1]
+
+        def usable(w):
+            """w's usable neighbours; at the root the start is listed
+            twice for its neighbours, once as the end, once to close."""
+            out = [x for x in X.adj[w] if rem >> x & 1 or x == v]
+            if closers >> w & 1:
+                out.append(start)
+            return out
+
+        for w in unvisited:
+            if len(usable(w)) != 2:
+                continue
+            chain, ends = {w}, []
+            for x in usable(w):
+                prev = w
+                while x in unvisited and len(usable(x)) == 2:
+                    if x == w:
+                        return True  # the chain closes on itself
+                    chain.add(x)
+                    rest = usable(x)
+                    rest.remove(prev)
+                    prev, x = x, rest[0]
+                ends.append(x)
+            if ends[0] == ends[1] and not (
+                    len(path) == 1 and ends[0] == start
+                    and chain == set(unvisited)):
+                return True
+        return False
 
 
 def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:

@@ -183,6 +183,38 @@ class TestCommands:
     def test_missing_file(self, capsys):
         assert main(["solve", "--graph", "/nonexistent.json"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "abc", "solve", "--catalog", "petersen"],
+        ["--budget", "0", "solve", "--catalog", "petersen"],
+        ["--budget", "-5", "solve", "--catalog", "petersen"],
+        ["field"],
+        ["solve", "--catalog", "petersen", "--no-such-flag"],
+        [],
+    ])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        # argparse's own exit status, 2, would read as "unknown"
+        assert main(argv) == EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == EXIT_FOUND
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cert", [
+        {"sequence": [0, 1, 2, 3, 4, 5]},
+        {"kind": "tour", "sequence": [0, 1, 2, 3, 4, 5]},
+        {"kind": "cycle", "sequence": 7},
+        {"kind": "cycle", "sequence": [0, 1, "2", 3, 4, 5]},
+        [0, 1, 2, 3, 4, 5],
+    ])
+    def test_verify_malformed_certificate(self, cert, tmp_path, capsys):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(cert))
+        assert main(["verify", "--catalog", "circulant:6:1",
+                     "--certificate", str(c)]) == EXIT_INPUT
+        assert "internal error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [[], ["--path"]])
     def test_solve_long_cycle(self, flags, capsys):
         # deeper than the interpreter's default recursion limit

@@ -11,9 +11,9 @@ from hamvt import (BudgetExhausted, Graph, HamiltonCertificate,
                    suborbits, verify_hamilton)
 from hamvt.fixtures import s6_on_s4_cosets
 from hamvt.hamilton import _Search
-from hamvt.products import catalog
-from oracles import (ReferenceSearch, held_karp_cycle, naive_hamilton_cycle,
-                     naive_hamilton_path)
+from hamvt.products import catalog, truncate_cubic
+from oracles import (ChainFreeSearch, ReferenceSearch, held_karp_cycle,
+                     naive_hamilton_cycle, naive_hamilton_path)
 
 SMALL_CORPUS = [
     "petersen", "crown:3", "crown:4", "crown:5",
@@ -166,6 +166,37 @@ def random_graph(rng: random.Random) -> Graph:
                                 and rng.random() < p])
 
 
+def random_cubic(rng: random.Random, n: int) -> Graph:
+    """A seeded simple cubic graph on n (even) vertices: random pairings
+    of three half-edges per vertex until one has no loop or repeat."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = {tuple(sorted(ends[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            return Graph.from_edges(n, sorted(pairs))
+
+
+def sparse_graph(rng: random.Random) -> Graph:
+    """A seeded cubic graph, relabelled at random: the Petersen graph one
+    time in five, else a random one on at most 14 vertices; half the
+    time its truncation instead if it has at most 10 vertices; one time
+    in three it loses an edge.  Vertices with two usable neighbours, and
+    so forced chains, are common here."""
+    if rng.random() < 0.2:
+        X = catalog("petersen")
+    else:
+        X = random_cubic(rng, rng.choice((4, 6, 8, 10, 12, 14)))
+    if X.n <= 10 and rng.random() < 0.5:
+        X = truncate_cubic(X)
+    label = list(range(X.n))
+    rng.shuffle(label)
+    edges = [(label[a], label[b]) for a, b in X.edges()]
+    if rng.random() < 1 / 3:
+        edges.pop(rng.randrange(len(edges)))
+    return Graph.from_edges(X.n, edges)
+
+
 def run(search) -> tuple[list, int, bool]:
     """Every sequence the search yields, its node count, and whether it
     ran out of budget."""
@@ -179,20 +210,45 @@ def run(search) -> tuple[list, int, bool]:
 
 
 class TestIncrementalPrune:
-    """The per-node local prune makes the same search as the full sweep."""
+    """The per-node local prune makes the same search as the reference,
+    which recomputes the whole prune, forced chains included, at every
+    node."""
 
     @pytest.mark.parametrize("mode", ["cycle", "path", "all"])
     def test_matches_full_sweep_reference(self, mode):
         rng = random.Random(f"prune-{mode}")
         exhausted = 0
-        for _ in range(200):
-            X = random_graph(rng)
+        for i in range(300):
+            X = random_graph(rng) if i < 200 else sparse_graph(rng)
             for budget in (rng.randint(1, 40), 2000):
                 got = run(_Search(X, mode, budget))
                 assert got == run(ReferenceSearch(X, mode, budget)), \
                     (X.n, sorted(X.edges()), budget)
                 exhausted += got[2]
         assert exhausted >= 50  # the budget check is exercised too
+
+
+class TestForcedChainRule:
+    """The forced-chain rule cuts only subtrees without a Hamilton
+    cycle: the search without it finds the same cycles, in the same
+    order, and so does the Held-Karp DP."""
+
+    def test_same_cycles_as_chain_free_search(self):
+        rng = random.Random("chains")
+        budget = 10**6
+        saved = 0
+        for _ in range(100):
+            X = sparse_graph(rng)
+            for mode in ("all", "cycle"):
+                got = run(_Search(X, mode, budget))
+                want = run(ChainFreeSearch(X, mode, budget))
+                assert not want[2] and got[0] == want[0], \
+                    (mode, X.n, sorted(X.edges()))
+                assert got[1] <= want[1]
+                saved += want[1] - got[1]
+            if X.n <= 14:
+                assert bool(got[0]) == held_karp_cycle(X)
+        assert saved > 0
 
 
 class TestNodeCounts:
@@ -227,8 +283,12 @@ class TestNodeCounts:
 
     def test_coxeter_cycle_nodes(self):
         res = find_hamilton_cycle(catalog("coxeter"))
-        assert (res.status, res.nodes) == ("none", 5366)
+        assert (res.status, res.nodes) == ("none", 5330)
 
     def test_truncated_coxeter_cycle_nodes(self):
         res = find_hamilton_cycle(catalog("truncated_coxeter"))
-        assert (res.status, res.nodes) == ("none", 269_594)
+        assert (res.status, res.nodes) == ("none", 24_776)
+
+    def test_truncated_petersen_cycle_nodes(self):
+        res = find_hamilton_cycle(catalog("truncated_petersen"))
+        assert (res.status, res.nodes) == ("none", 358)
