@@ -149,7 +149,7 @@ class ChainFreeSearch:
             short and (cyclic or short & ~ones or short & (short - 1)))
 
     def __iter__(self):
-        X, n, adj = self.X, self.X.n, self.adj
+        n, adj = self.X.n, self.adj
         full = (1 << n) - 1
         cyclic, start = self.cyclic, self.start
 

@@ -246,7 +246,7 @@ class TestForcedChainRule:
                     (mode, X.n, sorted(X.edges()))
                 assert got[1] <= want[1]
                 saved += want[1] - got[1]
-            if X.n <= 14:
+            if X.n <= 14:  # got is the cycle-mode run
                 assert bool(got[0]) == held_karp_cycle(X)
         assert saved > 0
 
