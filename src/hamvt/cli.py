@@ -22,7 +22,6 @@ from .perms import SEMIREGULAR_SEED, Perm, PermGroup
 from .pipeline import (GroupDegreeMismatch, GroupNotAutomorphisms,
                        MalformedInput, analyze, graph_from_json,
                        group_from_json)
-from .pipeline import parse_cycle_notation  # noqa: F401  (re-exported)
 from .products import BadParams, UnknownName, catalog, catalog_gens
 
 EXIT_FOUND = 0

@@ -7,25 +7,10 @@ infinity.  A matrix [[p, q], [r, s]] acts by x -> (p*x + q)/(r*x + s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from .gf2k import GF2k, field_make
 from .perms import CosetAction, Perm, PermGroup, coset_action
-from .products import BadParams, _int_params, catalog, catalog_gens
 
 INFINITY = 16
-
-
-class UnknownFixture(KeyError):
-    pass
-
-
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    payload: Any
-    note: str
 
 
 def moebius_perm(F: GF2k, mat) -> Perm:
@@ -92,55 +77,3 @@ def dihedral_gens(n: int) -> list[Perm]:
 
 def cyclic_gens(n: int) -> list[Perm]:
     return [Perm(tuple((i + 1) % n for i in range(n)))]
-
-
-#: Families named ``<family>:<n>`` for n >= 1 points.
-_FAMILIES = {"dihedral": dihedral_gens, "cyclic": cyclic_gens}
-
-_BUILDERS = {
-    "psl2_16_gens": lambda: Fixture(
-        "psl2_16_gens", psl2_16_gens()[1],
-        "degree-17 Moebius permutations ell, t, u over GF(16); "
-        "group order 4080 = 16*17*15"),
-    "psl2_16_h": lambda: Fixture(
-        "psl2_16_h", psl2_16_h_gens(),
-        "subgroup <u, t^3> of order 80; index 51"),
-    "s6_on_s4_cosets": lambda: Fixture(
-        "s6_on_s4_cosets", s6_on_s4_cosets(),
-        "S_6 on the 30 right cosets of a natural S_4; transitive, "
-        "order 720"),
-    "petersen": lambda: Fixture(
-        "petersen", catalog("petersen"),
-        "outer 5-cycle, spokes, inner pentagram; cubic, girth 5"),
-    "coxeter": lambda: Fixture(
-        "coxeter", catalog("coxeter"),
-        "three heptagons with steps 1, 2, 3 plus seven hubs; cubic"),
-    "truncated_petersen": lambda: Fixture(
-        "truncated_petersen", catalog("truncated_petersen"),
-        "each Petersen vertex replaced by a triangle; 30 vertices, cubic"),
-    "petersen_aut": lambda: Fixture(
-        "petersen_aut", catalog_gens("petersen"),
-        "generators of the full order-120 automorphism group via the "
-        "disjointness labeling by 2-subsets of a 5-set"),
-    "truncated_petersen_aut": lambda: Fixture(
-        "truncated_petersen_aut", catalog_gens("truncated_petersen"),
-        "automorphisms induced on the truncation by the Petersen "
-        "generators"),
-}
-
-
-def fixture(name: str) -> Fixture:
-    """Deterministic named fixture; see _BUILDERS and _FAMILIES.
-
-    Raises UnknownFixture for an unknown name and BadParams for a
-    family size that is missing, not an integer or below 1.
-    """
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    base, *params = name.split(":")
-    if base not in _FAMILIES:
-        raise UnknownFixture(name)
-    (n,) = _int_params(params, 1, base)
-    if n < 1:
-        raise BadParams(f"{base} needs n >= 1")
-    return Fixture(name, _FAMILIES[base](n), f"{base} group on {n} points")

@@ -220,12 +220,6 @@ class QuotientMulti:
     internal: tuple[int, ...]
     cross: tuple[tuple[int, ...], ...]
 
-    def cell_of(self, v: int) -> int:
-        for i, c in enumerate(self.cells):
-            if v in c:
-                return i
-        raise KeyError(v)
-
     def simple(self) -> Graph:
         """Underlying simple quotient graph on the cells."""
         m = len(self.cells)

@@ -43,9 +43,6 @@ class SemiregularDecomposition:
     cells: tuple[tuple[int, ...], ...]
     position: dict[int, tuple[int, int]]
 
-    def rep(self, i: int) -> int:
-        return self.cells[i][0]
-
     def vertex(self, i: int, j: int) -> int:
         return self.cells[i][j % self.p]
 

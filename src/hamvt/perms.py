@@ -334,12 +334,6 @@ class BlockSystem:
     cells: tuple[tuple[int, ...], ...]
     cell_size: int
 
-    def cell_of(self, v: int) -> int:
-        for i, c in enumerate(self.cells):
-            if v in c:
-                return i
-        raise KeyError(v)
-
 
 def _system_from_block(G: PermGroup, block: frozenset[int]) -> BlockSystem:
     cells = {block}

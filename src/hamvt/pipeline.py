@@ -1,10 +1,9 @@
-"""Strategy-cascade analysis: blocks, lifting, Jackson, exact fallback.
+"""Strategy-cascade analysis: lifting, Jackson, exact fallback.
 
 The cascade mirrors the structural proof strategy but is case-agnostic:
-(1) validate the supplied automorphisms, (2) list the block systems
-generated by pairs of points, (3) try cycle lifting through a
-semiregular p-element for each prime p dividing n, largest first, (4)
-record whether the Jackson sufficient condition holds, (5) run the exact
+(1) validate the supplied automorphisms, (2) try cycle lifting through
+a semiregular p-element for each prime p dividing n, largest first, (3)
+record whether the Jackson sufficient condition holds, (4) run the exact
 solver within budget.
 """
 
@@ -19,8 +18,7 @@ from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        verify_hamilton)
 from .lift import lift_hamilton, voltages_are_coboundary
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
-                    SEMIREGULAR_WORDS, Perm, PermGroup, block_systems,
-                    find_semiregular)
+                    SEMIREGULAR_WORDS, Perm, PermGroup, find_semiregular)
 
 
 class MalformedInput(ValueError):
@@ -41,7 +39,6 @@ class AnalysisReport:
     edge_count: int
     connected: bool
     vertex_transitive: bool | None
-    block_cell_sizes: list[int]
     strategy_trace: list[dict] = field(default_factory=list)
     result: str = "unknown"  # "certificate" | "no_hamilton_cycle" | "unknown"
     certificate: HamiltonCertificate | None = None
@@ -55,7 +52,6 @@ class AnalysisReport:
             "edge_count": self.edge_count,
             "connected": self.connected,
             "vertex_transitive": self.vertex_transitive,
-            "block_cell_sizes": self.block_cell_sizes,
             "strategy_trace": self.strategy_trace,
             "result": self.result,
             "certificate": (self.certificate.to_json()
@@ -109,7 +105,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
             seed: int = SEMIREGULAR_SEED) -> AnalysisReport:
     """Full strategy-cascade report for a graph and optional group."""
     rep = structure_report(X)
-    report = AnalysisReport(X.n, X.edge_count(), rep.connected, None, [])
+    report = AnalysisReport(X.n, X.edge_count(), rep.connected, None)
     report.exception_flag = _is_truncation_exception(X)
 
     if not rep.connected:
@@ -125,7 +121,6 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
             {"strategy": "structure", "outcome": "too small"})
         return report
 
-    G = None
     if group_gens is not None:
         gens = [g if isinstance(g, Perm) else Perm.from_images(g)
                 for g in group_gens]
@@ -139,14 +134,6 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                         "a generator does not preserve the edge set")
         G = PermGroup(X.n, gens)
         report.vertex_transitive = G.is_transitive()
-        if report.vertex_transitive and X.n > 1:
-            systems = block_systems(G)
-            report.block_cell_sizes = sorted({s.cell_size for s in systems})
-            report.strategy_trace.append(
-                {"strategy": "block_systems",
-                 "outcome": f"cell sizes {report.block_cell_sizes}"})
-
-    if G is not None:
         # largest p first: its quotient, with n/p cells, is the smallest
         for p in reversed(_primes(X.n)):
             rho = find_semiregular(G, p, seed=seed)

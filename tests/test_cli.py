@@ -7,8 +7,8 @@ import pytest
 from hamvt import (BadParams, HamiltonCertificate, Perm, catalog,
                    catalog_gens, verify_hamilton)
 from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NONE,
-                       EXIT_UNKNOWN, main, parse_cycle_notation)
-from hamvt.pipeline import MalformedInput
+                       EXIT_UNKNOWN, main)
+from hamvt.pipeline import MalformedInput, parse_cycle_notation
 from test_lift import km_c3
 
 

@@ -1,15 +1,14 @@
 """Bundled fixtures satisfy their provenance assertions."""
 
-import pytest
-
-from hamvt import BadParams, PermGroup
-from hamvt.fixtures import (INFINITY, UnknownFixture, fixture, moebius_perm,
-                            psl2_16_gens)
+from hamvt import PermGroup, catalog, catalog_gens
+from hamvt.fixtures import (INFINITY, cyclic_gens, dihedral_gens,
+                            moebius_perm, psl2_16_gens, psl2_16_h_gens,
+                            s6_on_s4_cosets)
 
 
 class TestPsl216:
     def test_group_order(self):
-        gens = fixture("psl2_16_gens").payload
+        _, gens = psl2_16_gens()
         G = PermGroup(17, gens)
         assert G.order() == 4080  # 16 * 17 * 15
         assert G.is_transitive()
@@ -27,7 +26,7 @@ class TestPsl216:
         assert ell * t * ell == t.inv()
 
     def test_h_subgroup(self):
-        gens = fixture("psl2_16_h").payload
+        gens = psl2_16_h_gens()
         H = PermGroup(17, gens)
         assert H.order() == 80
 
@@ -53,27 +52,18 @@ class TestPsl216:
 
 class TestInventory:
     def test_s6_on_s4(self):
-        act = fixture("s6_on_s4_cosets").payload
+        act = s6_on_s4_cosets()
         assert act.degree == 30
         assert act.group.order() == 720
 
     def test_truncated_petersen(self):
-        X = fixture("truncated_petersen").payload
+        X = catalog("truncated_petersen")
         assert X.n == 30 and all(X.degree(v) == 3 for v in range(30))
 
     def test_petersen_aut(self):
-        gens = fixture("petersen_aut").payload
+        gens = catalog_gens("petersen")
         assert PermGroup(10, gens).order() == 120
 
     def test_dihedral_and_cyclic(self):
-        assert PermGroup(7, fixture("dihedral:7").payload).order() == 14
-        assert PermGroup(9, fixture("cyclic:9").payload).order() == 9
-
-    def test_unknown(self):
-        with pytest.raises(UnknownFixture):
-            fixture("nope")
-
-    @pytest.mark.parametrize("name", ["cyclic", "cyclic:x", "dihedral:0"])
-    def test_bad_family_size(self, name):
-        with pytest.raises(BadParams):
-            fixture(name)
+        assert PermGroup(7, dihedral_gens(7)).order() == 14
+        assert PermGroup(9, cyclic_gens(9)).order() == 9

@@ -1,6 +1,7 @@
 """Strategy-cascade analysis reports."""
 
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
                    MalformedInput, Perm, analyze, catalog, catalog_gens,
                    graph_from_json, group_from_json, truncate_cubic,
                    verify_hamilton)
-from hamvt import pipeline
+from hamvt import perms, pipeline
 from hamvt.perms import SEMIREGULAR_WORDS
 from hamvt.pipeline import _is_truncation_exception
 from test_lift import complete_edges, derived, km_c3
@@ -120,6 +121,43 @@ class TestAnalyze:
         outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
         assert outcomes["lift_p2"] == ("no semiregular element found in "
                                        f"{SEMIREGULAR_WORDS} random words")
+
+
+REPORT_KEYS = {"n", "edge_count", "connected", "vertex_transitive",
+               "strategy_trace", "result", "certificate", "path_certificate",
+               "exception_flag", "reason"}
+
+
+class TestReport:
+    @pytest.mark.parametrize("X, gens", [
+        (Graph.from_edges(4, [(0, 1), (2, 3)]), None),
+        (Graph.from_edges(2, [(0, 1)]), None),
+        (catalog("petersen"), catalog_gens("petersen")),
+        (catalog("truncated_petersen"), catalog_gens("truncated_petersen")),
+        (catalog("circulant:30:1,6"), catalog_gens("circulant:30:1,6")),
+        (catalog("crown:5"), None),
+        (km_c3(10)[0], [km_c3(10)[1]]),
+    ], ids=["disconnected", "K_2", "petersen", "truncated_petersen",
+            "circulant:30:1,6", "crown:5-no-group", "K_10xC_3"])
+    def test_schema(self, X, gens):
+        rep = analyze(X, gens).to_json()
+        assert set(rep) == REPORT_KEYS
+        for entry in rep["strategy_trace"]:
+            assert set(entry) == {"strategy", "outcome"}
+            assert re.fullmatch(r"structure|lift_p\d+|jackson|exact_search",
+                                entry["strategy"])
+
+    @pytest.mark.parametrize("name", ["prism:7", "circulant:30:1,6"])
+    def test_no_block_work(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze computed a block system")
+
+        monkeypatch.setattr(perms, "minimal_block", refuse)
+        X = catalog(name)
+        rep = analyze(X, catalog_gens(name))
+        assert rep.vertex_transitive is True
+        assert rep.result == "certificate"
+        assert verify_hamilton(X, rep.certificate)
 
 
 class TestIngest:
