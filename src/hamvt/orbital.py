@@ -1,8 +1,18 @@
-"""Suborbits, pairing, generalized orbital graphs, block quotients."""
+"""Suborbits, pairing, generalized orbital graphs, block quotients.
+
+A suborbit table is computed once per group object and point, and held
+in a ``weakref.WeakKeyDictionary`` keyed by the group's identity, so an
+entry lives exactly as long as its group.  Tables are shared between
+callers and read-only: their fields are tuples and a mapping proxy.
+"""
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import index
+from types import MappingProxyType
 
 from .graphs import Graph
 from .perms import (BlockSystem, NotTransitive, Perm, PermGroup,
@@ -26,7 +36,7 @@ class SuborbitTable:
     base: int
     suborbits: tuple[tuple[int, ...], ...]
     pairing: tuple[int, ...]
-    transversal: dict[int, Perm] = field(compare=False, repr=False)
+    transversal: Mapping[int, Perm] = field(compare=False, repr=False)
 
     def index_of(self, w: int) -> int:
         for i, s in enumerate(self.suborbits):
@@ -41,8 +51,20 @@ class SuborbitTable:
         return self.index_of(self.base)
 
 
+#: group -> {point: table}; weak keys, compared by identity.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def suborbits(G: PermGroup, v: int) -> SuborbitTable:
-    """Suborbit table at v: orbits of G_v, paired via inverse transport."""
+    """Suborbit table at v: orbits of G_v, paired via inverse transport.
+
+    Memoized per group object and point: a repeated call returns the
+    same read-only table.
+    """
+    v = index(v)
+    memo = _TABLES.get(G)
+    if memo is not None and v in memo:
+        return memo[v]
     if not G.is_transitive():
         raise NotTransitive("suborbits require a transitive group")
     trans = G.transversal_from(v)
@@ -55,10 +77,11 @@ def suborbits(G: PermGroup, v: int) -> SuborbitTable:
             lookup[w] = i
     # suborbit of w pairs with the suborbit of v^(g^-1) where v^g = w
     pairing = tuple(lookup[trans[s[0]].inv().images[v]] for s in subs)
-    table = SuborbitTable(v, subs, pairing, trans)
+    table = SuborbitTable(v, subs, pairing, MappingProxyType(trans))
     for i, j in enumerate(table.pairing):
         if table.pairing[j] != i:
             raise AssertionError("pairing is not an involution")
+    _TABLES.setdefault(G, {})[v] = table
     return table
 
 
@@ -74,10 +97,10 @@ class OrbitalGraph:
 def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
     """Generalized orbital graph for a set of suborbit indices.
 
-    Adjacency is transported along the table's BFS transversal from v;
-    selections not closed under pairing are closed automatically and
-    flagged.  Each index is converted with int() after the table is
-    built, so a bad point is reported before a bad index.
+    Adjacency is transported along the BFS transversal of the memoized
+    suborbit table at v; selections not closed under pairing are closed
+    automatically and flagged.  Each index is converted with int() after
+    the table is built, so a bad point is reported before a bad index.
     """
     table = suborbits(G, v)
     sel = set(int(i) for i in selection)

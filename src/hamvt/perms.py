@@ -2,10 +2,14 @@
 
 Permutations are 0-based image arrays acting on the right: the image of
 point ``i`` under ``g`` is ``g.images[i]``, and ``(g * h)`` means "apply
-``g`` first, then ``h``".  Groups carry a deterministic stabilizer chain
-with base 0, 1, 2, ..., n-1, built once on first use by one Schreier-Sims
-pass that sifts each Schreier generator once.  Point stabilizers come
-from Schreier generators of a breadth-first transversal, no chain.
+``g`` first, then ``h``".  Only the ingest paths (``Perm(...)`` and
+``Perm.from_images``) check that the images form a bijection; products,
+inverses, identities and coset-action images are bijections by
+construction and skip the check.  Groups carry a deterministic
+stabilizer chain with base 0, 1, 2, ..., n-1, built once on first use by
+one Schreier-Sims pass that sifts each Schreier generator once.  Point
+stabilizers come from Schreier generators of a breadth-first
+transversal, no chain.
 """
 
 from __future__ import annotations
@@ -41,9 +45,16 @@ class Perm:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("images are not a bijection on 0..n-1")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap images known to be a bijection, without the check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @staticmethod
     def identity(n: int) -> "Perm":
-        return Perm(tuple(range(n)))
+        return Perm._trusted(tuple(range(n)))
 
     @staticmethod
     def from_images(images) -> "Perm":
@@ -59,13 +70,15 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
         o = other.images
-        return Perm(tuple(o[i] for i in self.images))
+        if len(o) != len(self.images):
+            raise ValueError("product of permutations of different degrees")
+        return Perm._trusted(tuple([o[i] for i in self.images]))
 
     def inv(self) -> "Perm":
         out = [0] * len(self.images)
         for i, j in enumerate(self.images):
             out[j] = i
-        return Perm(tuple(out))
+        return Perm._trusted(tuple(out))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -235,8 +248,7 @@ class PermGroup:
     def orbit(self, v: int) -> list[int]:
         seen = {v}
         frontier = [v]
-        while frontier:
-            x = frontier.pop(0)
+        for x in frontier:  # grows while it is walked: a FIFO queue
             for g in self.generators:
                 y = g.images[x]
                 if y not in seen:
@@ -338,8 +350,7 @@ class BlockSystem:
 def _system_from_block(G: PermGroup, block: frozenset[int]) -> BlockSystem:
     cells = {block}
     frontier = [block]
-    while frontier:
-        c = frontier.pop(0)
+    for c in frontier:  # grows while it is walked: a FIFO queue
         for g in G.generators:
             img = frozenset(g.images[x] for x in c)
             if img not in cells:
@@ -464,10 +475,12 @@ def coset_action(G: PermGroup, Hgens) -> CosetAction:
     m = len(reps)
 
     def push(g: Perm) -> Perm:
-        return Perm(tuple(index[key(reps[i] * g)] for i in range(m)))
+        return Perm._trusted(
+            tuple([index[key(reps[i] * g)] for i in range(m)]))
 
     def coset_index(g: Perm) -> int:
         return index[key(g)]
 
-    return CosetAction(PermGroup(m, [Perm(tuple(r)) for r in images]),
+    return CosetAction(PermGroup(m, [Perm._trusted(tuple(r))
+                                     for r in images]),
                        reps, push, coset_index)

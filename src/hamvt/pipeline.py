@@ -103,7 +103,11 @@ def _is_truncation_exception(X: Graph) -> bool:
 
 def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
             seed: int = SEMIREGULAR_SEED) -> AnalysisReport:
-    """Full strategy-cascade report for a graph and optional group."""
+    """Full strategy-cascade report for a graph and optional group.
+
+    ``group_gens`` is a sequence of generators (``Perm`` or image lists)
+    or a ``PermGroup``, whose stabilizer chain is then reused.
+    """
     rep = structure_report(X)
     report = AnalysisReport(X.n, X.edge_count(), rep.connected, None)
     report.exception_flag = _is_truncation_exception(X)
@@ -122,8 +126,14 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
         return report
 
     if group_gens is not None:
-        gens = [g if isinstance(g, Perm) else Perm.from_images(g)
-                for g in group_gens]
+        # a PermGroup is used as it is, so its stabilizer chain is reused
+        given = isinstance(group_gens, PermGroup)
+        if given and group_gens.degree != X.n:
+            raise GroupDegreeMismatch(
+                f"group degree {group_gens.degree} != {X.n}")
+        gens = (group_gens.generators if given else
+                [g if isinstance(g, Perm) else Perm.from_images(g)
+                 for g in group_gens])
         for g in gens:
             if g.degree != X.n:
                 raise GroupDegreeMismatch(
@@ -132,7 +142,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                 if not X.has_edge(g.images[u], g.images[w]):
                     raise GroupNotAutomorphisms(
                         "a generator does not preserve the edge set")
-        G = PermGroup(X.n, gens)
+        G = group_gens if given else PermGroup(X.n, gens)
         report.vertex_transitive = G.is_transitive()
         # largest p first: its quotient, with n/p cells, is the smallest
         for p in reversed(_primes(X.n)):

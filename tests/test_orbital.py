@@ -1,7 +1,13 @@
 """Suborbits, orbital graphs, block quotients."""
 
+import dataclasses
+import gc
+import weakref
+from itertools import combinations
+
 import pytest
 
+import hamvt.orbital
 from hamvt import (BlockSystem, EmptySelection, NotTransitive, Perm,
                    PermGroup, block_quotient, coset_action, orbital_graph,
                    point_stabilizer, suborbits)
@@ -144,6 +150,66 @@ class TestOrbitalGraph:
         og = orbital_graph(D5, 0, [1, 2])
         total = sum(len(tbl.suborbits[i]) for i in og.selection)
         assert all(og.graph.degree(v) == total for v in range(5))
+
+
+def pair_closed_selections(tbl):
+    """Every union of pair classes of non-trivial suborbits."""
+    triv = tbl.trivial_index()
+    classes = sorted({tuple(sorted({i, tbl.pairing[i]}))
+                      for i in range(len(tbl.suborbits)) if i != triv})
+    for r in range(1, len(classes) + 1):
+        for combo in combinations(classes, r):
+            yield [i for cl in combo for i in cl]
+
+
+class TestSuborbitMemo:
+    """One table per group object and point, dropped with the group."""
+
+    def test_repeated_call_returns_the_same_table(self):
+        G = s6_on_s4_cosets().group
+        assert suborbits(G, 0) is suborbits(G, 0)
+        assert suborbits(G, 3) is not suborbits(G, 0)
+        assert orbital_graph(G, 3, [1]).table is suborbits(G, 3)
+
+    def test_full_scan_one_stabilizer_per_point(self, monkeypatch):
+        bases = []
+        orig = hamvt.orbital.stabilizer_from_transversal
+
+        def counted(G, t):
+            bases.extend(x for x, g in t.items() if g.is_identity())
+            return orig(G, t)
+
+        monkeypatch.setattr(hamvt.orbital, "stabilizer_from_transversal",
+                            counted)
+        A = s6_on_s4_cosets().group
+        for v in (0, 5):
+            connected = sum(orbital_graph(A, v, sel).connected
+                            for sel in pair_closed_selections(suborbits(A, v)))
+            assert connected == 28
+        assert bases == [0, 5]
+
+    def test_distinct_groups_do_not_share(self):
+        G = s6_on_s4_cosets().group
+        H = PermGroup(G.degree, G.generators)
+        assert suborbits(G, 0) == suborbits(H, 0)
+        assert suborbits(G, 0) is not suborbits(H, 0)
+
+    def test_memo_holds_no_strong_reference(self):
+        G = PermGroup(5, D5.generators)
+        orbital_graph(G, 0, [1])
+        ref = weakref.ref(G)
+        del G
+        gc.collect()
+        assert ref() is None
+
+    def test_table_is_read_only(self):
+        tbl = suborbits(D5, 0)
+        with pytest.raises(TypeError):
+            tbl.transversal[0] = Perm.identity(5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tbl.base = 1
+        assert isinstance(tbl.suborbits, tuple)
+        assert isinstance(tbl.pairing, tuple)
 
 
 class TestBlockQuotient:

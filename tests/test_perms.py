@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamvt import (NotTransitive, Perm, PermGroup, SubgroupNotContained,
-                   block_systems, coset_action, find_semiregular,
-                   minimal_block, point_stabilizer)
+from hamvt import (MalformedInput, NotTransitive, Perm, PermGroup,
+                   SubgroupNotContained, block_systems, coset_action,
+                   find_semiregular, group_from_json, minimal_block,
+                   point_stabilizer)
+from hamvt.pipeline import parse_cycle_notation
 from hamvt.perms import _min_coset_rep
 from oracles import enumerated_coset_key, naive_closure, naive_minimal_block
 
@@ -64,6 +66,57 @@ class TestPerm:
         for d in range(1, a.order()):
             if a.order() % d == 0:
                 assert not (a ** d).is_identity() or d == a.order()
+
+
+def checked_product(a: Perm, b: Perm) -> Perm:
+    return Perm(tuple(b.images[i] for i in a.images))
+
+
+class TestUncheckedProducts:
+    """Only the ingest paths check for a bijection; products do not."""
+
+    def test_ingest_paths_reject_non_bijections(self):
+        with pytest.raises(ValueError):
+            Perm((0, 0))
+        with pytest.raises(ValueError):
+            Perm.from_images([1, 1])
+        with pytest.raises(MalformedInput):
+            parse_cycle_notation("(0 0)", 3)
+        with pytest.raises(MalformedInput):
+            group_from_json({"degree": 2, "generators": [[1, 1]]})
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degree_zero_and_one(self, n):
+        e = Perm.identity(n)
+        assert e == Perm(tuple(range(n)))
+        assert e * e == e and e.inv() == e
+        assert e ** 0 == e and e ** 5 == e and e ** -3 == e
+        assert (e * e.inv()).is_identity() and e.order() == 1
+
+    def test_different_degrees_rejected(self):
+        with pytest.raises(ValueError):
+            Perm((1, 0)) * Perm((0, 2, 1))
+        with pytest.raises(ValueError):
+            Perm((0, 2, 1)) * Perm((1, 0))
+
+    def test_match_checked_construction(self):
+        rng = random.Random(2009)
+        for _ in range(200):
+            n = rng.randint(1, 60)
+            a = Perm(tuple(rng.sample(range(n), n)))
+            b = Perm(tuple(rng.sample(range(n), n)))
+            k = rng.randint(-12, 12)
+            inv = [0] * n
+            for i, j in enumerate(a.images):
+                inv[j] = i
+            a_inv = Perm(tuple(inv))
+            power = Perm(tuple(range(n)))
+            for _ in range(abs(k)):
+                power = checked_product(power, a if k >= 0 else a_inv)
+            for got, want in ((a * b, checked_product(a, b)),
+                              (a.inv(), a_inv), (a ** k, power)):
+                assert got == want and hash(got) == hash(want)
+                assert type(got.images) is tuple
 
 
 SMALL_GROUPS = {

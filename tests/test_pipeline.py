@@ -6,13 +6,16 @@ import re
 import pytest
 
 from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
-                   MalformedInput, Perm, analyze, catalog, catalog_gens,
-                   graph_from_json, group_from_json, truncate_cubic,
-                   verify_hamilton)
+                   MalformedInput, Perm, PermGroup, analyze, catalog,
+                   catalog_gens, coset_action, graph_from_json,
+                   group_from_json, orbital_graph, suborbits,
+                   truncate_cubic, verify_hamilton)
 from hamvt import perms, pipeline
+from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens
 from hamvt.perms import SEMIREGULAR_WORDS
 from hamvt.pipeline import _is_truncation_exception
 from test_lift import complete_edges, derived, km_c3
+from test_orbital import pair_closed_selections
 
 
 class TestAnalyze:
@@ -121,6 +124,43 @@ class TestAnalyze:
         outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
         assert outcomes["lift_p2"] == ("no semiregular element found in "
                                        f"{SEMIREGULAR_WORDS} random words")
+
+
+class TestGroupObject:
+    """``analyze`` takes a ``PermGroup`` and reuses its stabilizer chain."""
+
+    def test_psl2_16_orbital_graphs_build_one_chain(self, monkeypatch):
+        G = PermGroup(17, psl2_16_gens()[1])
+        A = coset_action(G, psl2_16_h_gens()).group
+        graphs = [og.graph for og in (
+            orbital_graph(A, 0, sel)
+            for sel in pair_closed_selections(suborbits(A, 0)))
+            if og.connected]
+        assert len(graphs) == 14
+        builds = []
+
+        class CountedChain(perms._Chain):
+            def __init__(self, *args):
+                builds.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(perms, "_Chain", CountedChain)
+        reports = [analyze(X, A).to_json() for X in graphs]
+        assert len(builds) <= 1
+        monkeypatch.undo()
+        assert reports == [analyze(X, A.generators).to_json()
+                           for X in graphs]
+
+    def test_group_checks_still_run(self):
+        X = catalog("petersen")
+        with pytest.raises(GroupDegreeMismatch):
+            analyze(X, PermGroup(4, [Perm((1, 0, 2, 3))]))
+        with pytest.raises(GroupDegreeMismatch):
+            analyze(X, PermGroup(4, []))
+        with pytest.raises(GroupNotAutomorphisms):
+            analyze(X, PermGroup(10, [Perm((1, 0, 2, 3, 4, 5, 6, 7, 8, 9))]))
+        rep = analyze(X, PermGroup(10, catalog_gens("petersen")))
+        assert rep.to_json() == analyze(X, catalog_gens("petersen")).to_json()
 
 
 REPORT_KEYS = {"n", "edge_count", "connected", "vertex_transitive",
