@@ -10,8 +10,8 @@ from hamvt import (MalformedInput, NotTransitive, Perm, PermGroup,
                    SubgroupNotContained, block_systems, coset_action,
                    find_semiregular, group_from_json, minimal_block,
                    point_stabilizer)
-from hamvt.pipeline import parse_cycle_notation
 from hamvt.perms import _min_coset_rep
+from hamvt.pipeline import parse_cycle_notation
 from oracles import enumerated_coset_key, naive_closure, naive_minimal_block
 
 
