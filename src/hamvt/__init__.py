@@ -15,7 +15,8 @@ from .lift import (InvalidChoice, NotAutomorphism, NotSemiregular,
                    quotient_graph, voltage_assignment,
                    voltages_are_coboundary)
 from .orbital import (EmptySelection, OrbitalGraph, SuborbitTable,
-                      block_quotient, orbital_graph, suborbits)
+                      block_quotient, orbital_graph, pair_closed_selections,
+                      suborbits)
 from .perms import (BlockSystem, CosetAction, NotTransitive, Perm, PermGroup,
                     SubgroupNotContained, block_systems, coset_action,
                     find_semiregular, minimal_block, point_stabilizer)

@@ -17,7 +17,7 @@ from .graphs import Graph
 from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
                        find_hamilton_cycle, find_hamilton_path,
                        verify_hamilton)
-from .orbital import orbital_graph
+from .orbital import orbital_graph, suborbits
 from .perms import SEMIREGULAR_SEED, Perm, PermGroup
 from .pipeline import (GroupDegreeMismatch, GroupNotAutomorphisms,
                        MalformedInput, analyze, graph_from_json,
@@ -78,10 +78,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_orbital(args) -> int:
     degree, gens = _load_group(args.group)
-    # orbital_graph converts the indices after it builds the suborbit
-    # table, so a bad point is reported before a bad index
-    sel = [x for x in args.selection.split(",") if x != ""]
-    result = orbital_graph(PermGroup(degree, gens), args.point, sel)
+    G = PermGroup(degree, gens)
+    suborbits(G, args.point)  # memoized: a bad point before a bad index
+    sel = [int(x) for x in args.selection.split(",") if x != ""]
+    result = orbital_graph(G, args.point, sel)
     table, X = result.table, result.graph
     payload = {
         "suborbits": [list(s) for s in table.suborbits],

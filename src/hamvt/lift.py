@@ -215,9 +215,16 @@ def lift_hamilton(X: Graph, rho: Perm, p: int,
     voltage.  A nonzero net voltage lifts to a Hamilton cycle because p
     is prime.
     """
+    return _lift(X, rho, p, budget)[0]
+
+
+def _lift(X: Graph, rho: Perm, p: int,
+          budget: int) -> tuple[HamiltonCertificate | None, str]:
+    """``lift_hamilton`` with the outcome that ``analyze`` records: the
+    certificate with "found", or None with the proof that decided."""
     dec = decompose(X, rho, p)
     if voltages_are_coboundary(X, rho):
-        return None
+        return None, "no lift (voltages are a coboundary)"
     volt = voltage_assignment(X, dec)
     # sorted voltages per directed quotient edge, built once per call
     table = {(a, a): sorted(js) for a, js in volt.internal.items()}
@@ -238,5 +245,5 @@ def lift_hamilton(X: Graph, rho: Perm, p: int,
             comps = lifted_components(dec, volt, cycle, choice)
             cert = HamiltonCertificate("cycle", comps[0])
             if verify_hamilton(X, cert):
-                return cert
-    return None
+                return cert, "found"
+    return None, "no lift"

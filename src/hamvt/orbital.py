@@ -4,6 +4,9 @@ A suborbit table is computed once per group object and point, and held
 in a ``weakref.WeakKeyDictionary`` keyed by the group's identity, so an
 entry lives exactly as long as its group.  Tables are shared between
 callers and read-only: their fields are tuples and a mapping proxy.
+An orbital graph moves the row of the base along the table's
+transversal to every other point, in O(n * |targets|) with no edge set;
+``Graph``'s checks still run on the rows.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import index
 from types import MappingProxyType
 
@@ -51,6 +55,13 @@ class SuborbitTable:
         return self.index_of(self.base)
 
 
+def _index(i) -> int:
+    """i as an int; floats and bools raise ``TypeError``."""
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is not an index")
+    return index(i)
+
+
 #: group -> {point: table}; weak keys, compared by identity.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -61,7 +72,7 @@ def suborbits(G: PermGroup, v: int) -> SuborbitTable:
     Memoized per group object and point: a repeated call returns the
     same read-only table.
     """
-    v = index(v)
+    v = _index(v)
     memo = _TABLES.get(G)
     if memo is not None and v in memo:
         return memo[v]
@@ -97,13 +108,17 @@ class OrbitalGraph:
 def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
     """Generalized orbital graph for a set of suborbit indices.
 
-    Adjacency is transported along the BFS transversal of the memoized
-    suborbit table at v; selections not closed under pairing are closed
-    automatically and flagged.  Each index is converted with int() after
-    the table is built, so a bad point is reported before a bad index.
+    Selections not closed under pairing are closed automatically and
+    flagged.  A pair-closed selection gives a G-invariant graph, so the
+    neighbours of u = v^t are the targets moved by t: each row is read
+    off the BFS transversal of the memoized suborbit table at v, at a
+    cost of O(n * |targets|), and ``Graph``'s checks (no loops,
+    duplicates or asymmetry) still run on the rows.  Each index goes
+    through ``operator.index`` after the table is built, so a bad point
+    is reported before a bad index.
     """
     table = suborbits(G, v)
-    sel = set(int(i) for i in selection)
+    sel = set(_index(i) for i in selection)
     if not sel:
         raise EmptySelection("selection is empty")
     if not sel <= set(range(len(table.suborbits))):
@@ -115,19 +130,23 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
     for i in sel:
         closed.add(table.pairing[i])
     symmetrized = closed != sel
-    targets = frozenset(w for i in closed for w in table.suborbits[i])
+    targets = [w for i in closed for w in table.suborbits[i]]
     trans = table.transversal
-    n = G.degree
-    edges = set()
-    for u in range(n):
-        g = trans[u]
-        for w in targets:
-            x = g.images[w]
-            if x != u:
-                edges.add((min(u, x), max(u, x)))
-    X = Graph.from_edges(n, sorted(edges))
+    X = Graph(G.degree, ([trans[u].images[w] for w in targets]
+                         for u in range(G.degree)))
     return OrbitalGraph(X, X.is_connected(), symmetrized,
                         tuple(sorted(closed)), table)
+
+
+def pair_closed_selections(table: SuborbitTable):
+    """Every union of pair classes of non-trivial suborbits, as a list
+    of indices, in order of the number of classes it uses."""
+    triv = table.trivial_index()
+    classes = sorted({tuple(sorted({i, j}))
+                      for i, j in enumerate(table.pairing) if i != triv})
+    for r in range(1, len(classes) + 1):
+        for combo in combinations(classes, r):
+            yield [i for cl in combo for i in cl]
 
 
 def block_quotient(X: Graph, system: BlockSystem) -> Graph:

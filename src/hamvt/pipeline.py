@@ -16,7 +16,7 @@ from .graphs import Graph, structure_report
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        find_hamilton_cycle, find_hamilton_path, jackson_met,
                        verify_hamilton)
-from .lift import lift_hamilton, voltages_are_coboundary
+from .lift import _lift
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, Perm, PermGroup, find_semiregular)
 
@@ -159,26 +159,17 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                                  f"{SEMIREGULAR_WORDS} random words")})
                 continue
             try:
-                cert = lift_hamilton(X, rho, p, budget)
+                cert, outcome = _lift(X, rho, p, budget)
             except BudgetExhausted:
-                report.strategy_trace.append(
-                    {"strategy": f"lift_p{p}", "outcome": "budget exhausted"})
-                continue
+                cert, outcome = None, "budget exhausted"
+            report.strategy_trace.append(
+                {"strategy": f"lift_p{p}", "outcome": outcome})
             if cert is not None:
                 if not verify_hamilton(X, cert):
                     raise AssertionError("lift produced a bad certificate")
-                report.strategy_trace.append(
-                    {"strategy": f"lift_p{p}", "outcome": "found"})
                 report.result = "certificate"
                 report.certificate = cert
                 return report
-            # lift_hamilton returns None after either proof; this O(n + e)
-            # test names the one that decided, without a second decomposition
-            report.strategy_trace.append(
-                {"strategy": f"lift_p{p}",
-                 "outcome": ("no lift (voltages are a coboundary)"
-                             if voltages_are_coboundary(X, rho)
-                             else "no lift")})
 
     # recorded only: the exact search below decides either way
     met = jackson_met(rep, X.n)

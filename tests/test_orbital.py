@@ -4,11 +4,12 @@ import dataclasses
 import gc
 import weakref
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
 import hamvt.orbital
-from hamvt import (BlockSystem, EmptySelection, NotTransitive, Perm,
+from hamvt import (BlockSystem, EmptySelection, Graph, NotTransitive, Perm,
                    PermGroup, block_quotient, coset_action, orbital_graph,
                    point_stabilizer, suborbits)
 from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens, s6_on_s4_cosets
@@ -23,6 +24,11 @@ def _coset_action(name):
     if name == "s6_on_s4":
         return s6_on_s4_cosets()
     return coset_action(PermGroup(17, psl2_16_gens()[1]), psl2_16_h_gens())
+
+
+def _group(name):
+    return {"d5": D5, "z6": Z6}[name] if name in ("d5", "z6") \
+        else _coset_action(name).group
 
 
 class TestSuborbits:
@@ -105,6 +111,33 @@ class TestOrbitalGraph:
         with pytest.raises(ValueError):
             orbital_graph(D5, 0, [1, index])
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, False, "1"],
+                             ids=["float", "integral_float", "true",
+                                  "false", "str"])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(TypeError):
+            orbital_graph(D5, 0, [index])
+        with pytest.raises(TypeError):
+            orbital_graph(D5, 0, [2, index])
+
+    @pytest.mark.parametrize("point", [1.0, True])
+    def test_non_integer_point_rejected(self, point):
+        with pytest.raises(TypeError):
+            suborbits(D5, point)
+        with pytest.raises(TypeError):
+            orbital_graph(D5, point, [1])
+
+    def test_bad_point_reported_before_bad_index(self):
+        with pytest.raises(ValueError, match="point 9"):
+            orbital_graph(D5, 9, [1.7])
+
+    def test_index_like_objects_accepted(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert orbital_graph(D5, 0, [Two()]).selection == (2,)
+
     @pytest.mark.parametrize("name", ["s6_on_s4", "psl2_16"])
     def test_no_stabilizer_chain_built(self, name, monkeypatch):
         import hamvt.perms
@@ -160,6 +193,107 @@ def pair_closed_selections(tbl):
     for r in range(1, len(classes) + 1):
         for combo in combinations(classes, r):
             yield [i for cl in combo for i in cl]
+
+
+def reference_orbitals(G, v):
+    """Per suborbit i at v, the edges {v^g, w^g} over every element g of
+    G and every w in suborbit i."""
+    tbl = suborbits(G, v)
+    elems = list(G.elements())
+    orbitals = []
+    for s in tbl.suborbits:
+        edges = set()
+        for g in elems:
+            a = g.images[v]
+            edges.update((min(a, b), max(a, b))
+                         for b in (g.images[w] for w in s))
+        orbitals.append(edges)
+    return tbl, orbitals
+
+
+def reference_graph(n, orbitals, selection):
+    return Graph.from_edges(n, sorted(set().union(
+        *(orbitals[i] for i in selection))))
+
+
+class TestReferenceOrbitalGraphs:
+    """Rows moved along the transversal give the graph that every group
+    element gives."""
+
+    @pytest.mark.parametrize("name, v", [("s6_on_s4", 0), ("s6_on_s4", 5),
+                                         ("psl2_16", 0)])
+    def test_every_pair_closed_selection(self, name, v):
+        G = _group(name)
+        tbl, orbitals = reference_orbitals(G, v)
+        count = 0
+        for sel in pair_closed_selections(tbl):
+            og = orbital_graph(G, v, sel)
+            X = reference_graph(G.degree, orbitals, sel)
+            assert og.graph == X
+            assert og.connected == X.is_connected()
+            assert not og.symmetrized
+            assert og.selection == tuple(sorted(sel))
+            count += 1
+        assert count == {"s6_on_s4": 31, "psl2_16": 15}[name]
+
+    @pytest.mark.parametrize("name, v", [("s6_on_s4", 0), ("s6_on_s4", 5),
+                                         ("psl2_16", 0), ("z6", 0)])
+    def test_open_selection_gives_its_closure(self, name, v):
+        G = _group(name)
+        tbl, orbitals = reference_orbitals(G, v)
+        opened = 0
+        for sel in pair_closed_selections(tbl):
+            for j in sel:
+                partner = tbl.pairing[j]
+                if partner <= j:
+                    continue
+                og = orbital_graph(G, v, [i for i in sel if i != partner])
+                assert og.symmetrized
+                assert og.selection == tuple(sorted(sel))
+                assert og.graph == reference_graph(G.degree, orbitals, sel)
+                opened += 1
+        assert opened > 0
+
+    @pytest.mark.parametrize("name, sel", [("d5", [1]), ("d5", [2]),
+                                           ("s6_on_s4", [6]),
+                                           ("s6_on_s4", [2, 3]),
+                                           ("psl2_16", [1, 2])])
+    def test_wrong_transversal_entry_rejected(self, name, sel, monkeypatch):
+        G = _group(name)
+        tbl = suborbits(G, 0)
+        X = orbital_graph(G, 0, sel).graph
+        wrong = 0
+        for u in range(1, G.degree):
+            for t in (Perm.identity(G.degree),
+                      tbl.transversal[(u + 1) % G.degree]):
+                if sorted(t.images[w] for w in X.adj[0]) == list(X.adj[u]):
+                    continue  # t moves the row at 0 onto the row at u
+                trans = dict(tbl.transversal)
+                trans[u] = t
+                bad = dataclasses.replace(
+                    tbl, transversal=MappingProxyType(trans))
+                monkeypatch.setattr(hamvt.orbital, "suborbits",
+                                    lambda G, v: bad)
+                with pytest.raises(ValueError):
+                    orbital_graph(G, 0, sel)
+                wrong += 1
+        assert wrong > 0
+
+
+class TestPairClosedSelections:
+    @pytest.mark.parametrize("name", ["d5", "z6", "s6_on_s4", "psl2_16"])
+    def test_matches_plain_enumeration(self, name):
+        G = _group(name)
+        for v in (0, 1):
+            tbl = suborbits(G, v)
+            assert list(hamvt.orbital.pair_closed_selections(tbl)) == \
+                list(pair_closed_selections(tbl))
+
+    def test_counts(self):
+        assert len(list(hamvt.orbital.pair_closed_selections(
+            suborbits(D5, 0)))) == 3  # {1}, {2}, {1, 2}
+        assert len(list(hamvt.orbital.pair_closed_selections(
+            suborbits(Z6, 0)))) == 7  # classes {1, 5}, {2, 4}, {3}
 
 
 class TestSuborbitMemo:

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from hamvt import (Graph, GroupDegreeMismatch, GroupNotAutomorphisms,
                    catalog_gens, coset_action, graph_from_json,
                    group_from_json, orbital_graph, suborbits,
                    truncate_cubic, verify_hamilton)
-from hamvt import perms, pipeline
+from hamvt import lift, perms, pipeline
 from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens
 from hamvt.perms import SEMIREGULAR_WORDS
 from hamvt.pipeline import _is_truncation_exception
@@ -111,6 +112,38 @@ class TestAnalyze:
         assert lifts[1]["outcome"] == "no lift (voltages are a coboundary)"
         assert rep.result == "certificate"
         assert verify_hamilton(X, rep.certificate)
+
+    @pytest.mark.parametrize("name", ["petersen", "truncated_petersen",
+                                      "prism:7", "crown:7", "km_c3",
+                                      "budget"])
+    def test_one_coboundary_test_per_lift(self, name, monkeypatch):
+        # every outcome kind: found, no lift, coboundary, budget exhausted
+        if name == "km_c3":
+            X, rho = km_c3(10)
+            args = (X, [rho])
+        elif name == "budget":
+            X, rho = derived(12, 3, complete_edges(12), {(1, 3): 1})
+            args = (X, [rho], 10**5)
+        else:
+            args = (catalog(name), catalog_gens(name))
+        orig = lift.voltages_are_coboundary
+        calls = []
+
+        def counted(X, rho):
+            calls.append(rho)
+            return orig(X, rho)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("hamvt")
+                    and getattr(mod, "voltages_are_coboundary", None)
+                    is orig):
+                monkeypatch.setattr(mod, "voltages_are_coboundary", counted)
+        rep = analyze(*args)
+        attempts = [s for s in rep.strategy_trace
+                    if s["strategy"].startswith("lift")
+                    and not s["outcome"].startswith("no semiregular")]
+        assert attempts
+        assert len(calls) == len(attempts)
 
     def test_semiregular_absence_proved(self):
         rep = analyze(catalog("petersen"), catalog_gens("petersen"))
