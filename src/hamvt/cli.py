@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .gf2k import (DegreeOutOfRange, count_eq2, field_make,
                    quad_irreducible_m, weil_check)
@@ -100,11 +101,12 @@ def _cmd_field(args) -> int:
     m = args.m if args.m is not None else quad_irreducible_m(F)
     exp, log = F.tables()
     # (c, y) -> (c u^3, y / u) maps solutions onto solutions, so a count
-    # depends only on the cube class log(c) mod 3, which theta^i represents
-    by_class = [count_eq2(F, m, exp[i]) for i in range(3)]
+    # depends only on the cube class log(c) mod gcd(3, q - 1), which
+    # theta^i represents
+    by_class = [count_eq2(F, m, exp[i]) for i in range(gcd(3, F.q - 1))]
     rows = []
     for c in range(1, F.q):
-        cnt = by_class[log[c] % 3]
+        cnt = by_class[log[c] % len(by_class)]
         rows.append({"c": c, "count": cnt,
                      "weil_d6": weil_check(cnt, F.q, 6)})
     payload = {"k": args.k, "q": F.q, "m": m, "modulus": F.modulus,

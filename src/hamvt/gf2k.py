@@ -168,13 +168,11 @@ def _trace_of_theta_pow(F: GF2k, e) -> np.ndarray:
 
 
 def quad_irreducible_m(F: GF2k) -> int:
-    """Least m with x^2 + theta^m x + 1 rootless over F (k >= 2).
+    """Least m with x^2 + theta^m x + 1 rootless over F.
 
     x^2 + bx + 1 (b != 0) becomes z^2 + z = 1/b^2 under x = bz, which
     has no root exactly when Tr(1/b^2) = 1.
     """
-    if F.k < 2:
-        raise DegreeOutOfRange("need k >= 2")
     ms = np.arange(F.q - 1)
     hits = np.flatnonzero(_trace_of_theta_pow(F, -2 * ms))
     if not hits.size:

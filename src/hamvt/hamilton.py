@@ -96,11 +96,11 @@ class _Search:
     and the end) is connected and every unvisited vertex has two usable
     neighbours: the unvisited, the end, and the start when the cycle may
     close through it.  A path search lets one vertex, its far end, have
-    only one.  A full sweep sets this up once per root; after that each
-    node checks only what its step changed.  When the end u steps to v,
-    the region loses u and only the unvisited neighbours of u lose a
-    usable neighbour, so those are recounted, and the region stays
-    connected if a search from v reaches all of them.
+    only one.  Each node recounts only the vertices its step touched:
+    at a root every unvisited vertex, and when the end u steps to v the
+    unvisited neighbours of u, the only ones that lose a usable
+    neighbour as the region loses u.  The region is connected if a
+    search from v reaches every touched vertex.
 
     Cycle modes add the forced-chain rule (Vandegriend & Culberson, JAIR
     9, 1998).  An unvisited vertex with exactly two usable neighbours
@@ -111,11 +111,10 @@ class _Search:
     slots, but it counts twice for its neighbours, so a chain ends there
     at both ends only as a lone neighbour with no other usable
     neighbour, which never covers the two or more unvisited vertices a
-    sweep sees; equal ends are fatal there too.  The sweep walks every
-    chain; a step walks only the chains through the recounted vertices,
-    since a chain that avoids them is one the parent had, with the same
-    ends.  A path may end at a vertex with two usable neighbours, so path
-    mode has no such rule.
+    root has; equal ends are fatal there too.  A node walks only the
+    chains through the vertices it recounted, since a chain that avoids
+    them is one the parent had, with the same ends.  A path may end at a
+    vertex with two usable neighbours, so path mode has no such rule.
     """
 
     def __init__(self, X: Graph, mode: str, budget: int):
@@ -169,42 +168,13 @@ class _Search:
                     return True
             return False
 
-        def sweep(v: int, rem: int) -> int | None:
-            """The prune at a root (v): None if no Hamilton completion
-            exists, else the unvisited vertices with one usable neighbour.
-            """
-            # one breadth-first sweep from v over the unvisited vertices
-            # checks that they stay connected to v and counts each one's
-            # usable neighbours in the bitmasks ones, twos and threes
-            ends = rem | 1 << v
-            seen = frontier = 1 << v
-            ones, twos, threes = closers, 0, 0
-            while frontier:
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    a = adj[b.bit_length() - 1]
-                    threes |= twos & a
-                    twos |= ones & a
-                    ones |= a
-                    nxt |= a
-                frontier = nxt & ends & ~seen
-                seen |= frontier
-            if seen != ends:
-                return None
-            short = rem & ~twos
-            if short and (cyclic or short & ~ones or short & (short - 1)):
-                return None
-            if cyclic and broken(rem & twos & ~threes, rem, ends):
-                return None
-            return short
-
-        def step(u: int, v: int, rem: int, short: int) -> int | None:
-            """The prune after the end u of a live path steps to v, given
-            the parent's short vertices; returns as ``sweep`` does."""
+        def step(touched: int, v: int, rem: int, short: int) -> int | None:
+            """The prune at a path ending at v: recounts the touched
+            vertices, given the parent's short vertices.  None if no
+            Hamilton completion exists, else the unvisited vertices with
+            one usable neighbour."""
             region = rem | 1 << v
-            touched = cand = adj[u] & rem
+            cand = touched
             forced = 0
             while cand:
                 b = cand & -cand
@@ -223,8 +193,9 @@ class _Search:
                 return None
             if broken(forced, rem, region):
                 return None
-            # the region minus u is connected iff v reaches every other
-            # neighbour of u in it
+            # the region is connected iff v reaches every touched vertex:
+            # all of it at a root, else the other neighbours of the vertex
+            # left behind
             seen = frontier = 1 << v
             while touched & ~seen:
                 if not frontier:
@@ -276,10 +247,9 @@ class _Search:
                     short = None
                 elif not rem & (rem - 1):  # one vertex left: it must follow v
                     short = 0 if adj[v] & rem else None
-                elif len(path) == 1:
-                    short = sweep(v, rem)
                 else:
-                    short = step(path[-2], v, rem, shorts[-1])
+                    touched = adj[path[-2]] & rem if len(path) > 1 else rem
+                    short = step(touched, v, rem, shorts[-1])
                 if short is not None:
                     stack.append(adj[v] & rem)
                     shorts.append(short)

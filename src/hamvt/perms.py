@@ -35,6 +35,10 @@ class SubgroupNotContained(ValueError):
     """Supplied generators do not lie in the ambient group."""
 
 
+class GroupDegreeMismatch(ValueError):
+    """A generator's degree differs from the group's or the graph's."""
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation of {0, ..., n-1} stored as its image tuple."""
@@ -225,7 +229,8 @@ class PermGroup:
                 for g in generators]
         for g in gens:
             if g.degree != degree:
-                raise ValueError("generator degree mismatch")
+                raise GroupDegreeMismatch(
+                    f"generator degree {g.degree} != {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
         self._chain: _Chain | None = None

@@ -18,14 +18,11 @@ from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        verify_hamilton)
 from .lift import _lift
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
-                    SEMIREGULAR_WORDS, Perm, PermGroup, find_semiregular)
+                    SEMIREGULAR_WORDS, GroupDegreeMismatch, Perm, PermGroup,
+                    find_semiregular)
 
 
 class MalformedInput(ValueError):
-    pass
-
-
-class GroupDegreeMismatch(ValueError):
     pass
 
 
@@ -127,22 +124,15 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
 
     if group_gens is not None:
         # a PermGroup is used as it is, so its stabilizer chain is reused
-        given = isinstance(group_gens, PermGroup)
-        if given and group_gens.degree != X.n:
-            raise GroupDegreeMismatch(
-                f"group degree {group_gens.degree} != {X.n}")
-        gens = (group_gens.generators if given else
-                [g if isinstance(g, Perm) else Perm.from_images(g)
-                 for g in group_gens])
-        for g in gens:
-            if g.degree != X.n:
-                raise GroupDegreeMismatch(
-                    f"generator degree {g.degree} != {X.n}")
+        G = (group_gens if isinstance(group_gens, PermGroup)
+             else PermGroup(X.n, group_gens))
+        if G.degree != X.n:
+            raise GroupDegreeMismatch(f"group degree {G.degree} != {X.n}")
+        for g in G.generators:
             for u, w in X.edges():
                 if not X.has_edge(g.images[u], g.images[w]):
                     raise GroupNotAutomorphisms(
                         "a generator does not preserve the edge set")
-        G = group_gens if given else PermGroup(X.n, gens)
         report.vertex_transitive = G.is_transitive()
         # largest p first: its quotient, with n/p cells, is the smallest
         for p in reversed(_primes(X.n)):
@@ -202,8 +192,6 @@ def graph_from_json(d: dict) -> Graph:
         edges = [(int(u), int(v)) for u, v in d["edges"]]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad graph JSON: {e}") from None
-    if n < 0 or any(not 0 <= u < n or not 0 <= v < n for u, v in edges):
-        raise MalformedInput("vertex out of range")
     try:
         return Graph.from_edges(n, edges)
     except ValueError as e:

@@ -166,7 +166,15 @@ class TestCommands:
         assert out["q"] == 4096 and len(out["rows"]) == 4095
         assert all(r["weil_d6"] for r in out["rows"])
 
-    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("flags", [[], ["--m", "0"]])
+    def test_field_k1(self, flags, capsys):
+        # GF(2) has one nonzero element, and x^2 + x + 1 has no root in it
+        assert main(["field", "--k", "1"] + flags) == EXIT_FOUND
+        out = json.loads(capsys.readouterr().out)
+        assert (out["q"], out["m"], out["min_count"]) == (2, 0, 3)
+        assert out["rows"] == [{"c": 1, "count": 3, "weil_d6": True}]
+
+    @pytest.mark.parametrize("k", [1, 6, 7])
     def test_field_rows_match_per_c_counts(self, k, capsys):
         from hamvt import count_eq2, field_make, quad_irreducible_m
         assert main(["field", "--k", str(k)]) == EXIT_FOUND

@@ -20,6 +20,17 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("edge", [(0, 5), (0, 3), (-1, 0), (2, -3)])
+    def test_rejects_vertex_out_of_range(self, edge):
+        with pytest.raises(ValueError):
+            Graph.from_edges(3, [edge])
+
+    @pytest.mark.parametrize("adj", [[(1,), (0, 3), ()], [(-1, 1), (0,)],
+                                     [(1, 1), (0, 0)], [(0, 1), (0,)]])
+    def test_rejects_bad_rows(self, adj):
+        with pytest.raises(ValueError):
+            Graph(len(adj), adj)
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph(2, [(1,), ()])

@@ -292,3 +292,22 @@ class TestNodeCounts:
     def test_truncated_petersen_cycle_nodes(self):
         res = find_hamilton_cycle(catalog("truncated_petersen"))
         assert (res.status, res.nodes) == ("none", 358)
+
+    @pytest.mark.parametrize("name, nodes", [("coxeter", 60),
+                                             ("truncated_coxeter", 13_348)])
+    def test_path_nodes(self, name, nodes):
+        X = catalog(name)
+        res = find_hamilton_path(X)
+        assert (res.status, res.nodes) == ("found", nodes)
+        assert verify_hamilton(X, res.certificate)
+
+    @pytest.mark.parametrize("seed, nodes", [(1, 11_368), (2, 13_304)])
+    def test_relabelled_truncated_coxeter_path_nodes(self, seed, nodes):
+        # path mode runs a root at every start vertex until one succeeds
+        T = catalog("truncated_coxeter")
+        sigma = random.Random(seed).sample(range(T.n), T.n)
+        X = Graph.from_edges(T.n, [(sigma[u], sigma[w])
+                                   for u, w in T.edges()])
+        res = find_hamilton_path(X)
+        assert (res.status, res.nodes) == ("found", nodes)
+        assert verify_hamilton(X, res.certificate)

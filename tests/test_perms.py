@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamvt import (MalformedInput, NotTransitive, Perm, PermGroup,
-                   SubgroupNotContained, block_systems, coset_action,
+from hamvt import (GroupDegreeMismatch, MalformedInput, NotTransitive, Perm,
+                   PermGroup, SubgroupNotContained, block_systems, coset_action,
                    find_semiregular, group_from_json, minimal_block,
                    point_stabilizer)
 from hamvt.perms import _min_coset_rep
@@ -190,6 +190,15 @@ class TestGroup:
             D5.transversal_from(v)
         with pytest.raises(ValueError):
             point_stabilizer(D5, v)
+
+    def test_generator_degree_mismatch(self):
+        from hamvt import pipeline
+        with pytest.raises(GroupDegreeMismatch):
+            PermGroup(4, [Perm.identity(3)])
+        with pytest.raises(GroupDegreeMismatch):
+            PermGroup(3, [[1, 2, 0], [1, 0, 2, 3]])
+        assert pipeline.GroupDegreeMismatch is GroupDegreeMismatch
+        assert issubclass(GroupDegreeMismatch, ValueError)
 
 
 class TestChain:
