@@ -10,6 +10,7 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Graph, StructureReport, structure_report
 
@@ -262,29 +263,106 @@ class _Search:
         self.nodes = nodes
 
 
-def _first(search: _Search, kind: str) -> SolveResult:
+def contract_triangles(X: Graph) -> tuple[Graph, list[int]] | None:
+    """One pass that contracts every truncation triangle of X to a vertex.
+
+    A truncation triangle is three mutually adjacent vertices of degree
+    3 whose three outside neighbours are distinct; two never share a
+    vertex.  One joined by two edges to a triangle already taken waits
+    for the next pass, as contracting both would repeat an edge.
+    Returns the contracted graph, whose degrees are those of X, and the
+    vertex map from X to it; None if X has no truncation triangle.
+    """
+    adj = X.adj
+    owner = list(range(X.n))  # v, or the least corner of v's triangle
+    for x in range(X.n):
+        if len(adj[x]) != 3:
+            continue
+        for y, z in combinations(adj[x], 2):
+            tri = (x, y, z)
+            if not (x < y and len(adj[y]) == len(adj[z]) == 3
+                    and X.has_edge(y, z)):
+                continue
+            # distinct outside neighbours, at most one in each triangle
+            if len({owner[w] for c in tri for w in adj[c]
+                    if w not in tri}) >= 3:
+                owner[y] = owner[z] = x
+    index = {v: i for i, v in enumerate(sorted(set(owner)))}
+    if len(index) == X.n:
+        return None
+    to = [index[v] for v in owner]
+    rows: list[set[int]] = [set() for _ in index]
+    for u, w in X.edges():
+        if to[u] != to[w]:
+            rows[to[u]].add(to[w])
+            rows[to[w]].add(to[u])
+    return Graph(len(rows), rows), to
+
+
+def _expand(X: Graph, to: list[int], seq: tuple[int, ...],
+            cyclic: bool) -> tuple[int, ...]:
+    """Expand a Hamilton sequence of the contraction of X by ``to``: a
+    triangle is entered at the corner next to its predecessor and left at
+    the corner next to its successor; at a path end the free corners go
+    in any order."""
+    members: list[list[int]] = [[] for _ in seq]
+    for v, t in enumerate(to):
+        members[t].append(v)
+    n = len(seq)
+    out: list[int] = []
+    for i, t in enumerate(seq):
+        if len(members[t]) == 1:
+            out += members[t]
+            continue
+        # the corners next to the predecessor and to the successor
+        ends = [next(c for c in members[t]
+                     if any(to[w] == seq[j % n] for w in X.adj[c]))
+                if cyclic or 0 <= j < n else None for j in (i - 1, i + 1)]
+        mid = [c for c in members[t] if c not in ends]
+        out += [c for c in (ends[0], *mid, ends[1]) if c is not None]
+    return tuple(out)
+
+
+def _find(X: Graph, kind: str, budget: int) -> SolveResult:
+    """Search the graph left after contracting truncation triangles, pass
+    after pass, and expand its certificate back to X.
+
+    A Hamilton cycle crosses such a triangle in one run, through two of
+    its edges, and so does a Hamilton path, unless a corner cut off from
+    the others is one of its ends; so X and the contraction have a
+    Hamilton cycle, and a Hamilton path, together.
+    """
+    passes = []
+    while X.n > 4 and (step := contract_triangles(X)) is not None:
+        passes.append((X, step[1]))
+        X = step[0]
+    search = _Search(X, kind, budget)
     try:
         seq = next(iter(search), None)
     except BudgetExhausted:
         return SolveResult("unknown", None, search.nodes)
     if seq is None:
         return SolveResult("none", None, search.nodes)
+    for G, to in reversed(passes):
+        seq = _expand(G, to, seq, kind == "cycle")
     return SolveResult("found", HamiltonCertificate(kind, seq), search.nodes)
 
 
 def find_hamilton_cycle(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exhaustive deterministic Hamilton cycle search."""
+    """Exhaustive deterministic Hamilton cycle search; ``nodes`` counts
+    the search on the graph left after contracting truncation triangles."""
     n = X.n
     if n < 3 or not X.is_connected() or min(X.degree(v) for v in range(n)) < 2:
         return SolveResult("none", None, 0)
-    return _first(_Search(X, "cycle", budget), "cycle")
+    return _find(X, "cycle", budget)
 
 
 def find_hamilton_path(X: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Exhaustive deterministic Hamilton path search."""
+    """Exhaustive deterministic Hamilton path search; ``nodes`` counts
+    the search on the graph left after contracting truncation triangles."""
     if X.n == 0 or not X.is_connected():
         return SolveResult("none", None, 0)
-    return _first(_Search(X, "path", budget), "path")
+    return _find(X, "path", budget)
 
 
 def iter_hamilton_cycles(X: Graph, budget: int = DEFAULT_BUDGET):

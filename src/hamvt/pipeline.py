@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, structure_report
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
-                       find_hamilton_cycle, find_hamilton_path, jackson_met,
-                       verify_hamilton)
+                       contract_triangles, find_hamilton_cycle,
+                       find_hamilton_path, jackson_met, verify_hamilton)
 from .lift import _lift
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, GroupDegreeMismatch, Perm, PermGroup,
@@ -77,25 +77,16 @@ def _primes(n: int) -> list[int]:
 def _is_truncation_exception(X: Graph) -> bool:
     """Whether X is the truncated Petersen graph, under any labelling.
 
-    X must be cubic on 30 vertices with every vertex in exactly one
-    triangle, and contracting the triangles must give a simple cubic
-    graph on 10 vertices of girth 5: Petersen is the only such graph.
+    X must be cubic on 30 vertices, and one pass of
+    ``contract_triangles`` must contract 10 triangles, one per vertex,
+    and leave a graph of girth 5 on 10 vertices.  That graph is cubic,
+    as contraction keeps degrees, and Petersen is the only cubic graph
+    on 10 vertices of girth 5.
     """
     if X.n != 30 or any(X.degree(v) != 3 for v in range(X.n)):
         return False
-    tri_of = []
-    for v in range(X.n):
-        # each triangle is named by its least vertex, min(v, a) as a < b
-        tris = [min(v, a) for a in X.adj[v] for b in X.adj[v]
-                if a < b and X.has_edge(a, b)]
-        if len(tris) != 1:
-            return False
-        tri_of.append(tris[0])
-    index = {t: i for i, t in enumerate(sorted(set(tri_of)))}
-    # the 15 edges outside the triangles; a repeated pair collapses
-    edges = {tuple(sorted((index[tri_of[u]], index[tri_of[w]])))
-             for u, w in X.edges() if tri_of[u] != tri_of[w]}
-    return len(edges) == 15 and Graph.from_edges(10, edges).girth() == 5
+    step = contract_triangles(X)
+    return step is not None and step[0].n == 10 and step[0].girth() == 5
 
 
 def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
