@@ -2,9 +2,8 @@
 
 from .gf2k import (GF2k, SMatrix, count_eq2, field_make, quad_irreducible_m,
                    s_group, s_matrix_order, s_mul, weil_check)
-from .graphs import (Graph, NotEquitable, OverlappingParts, QuotientMulti,
-                     StructureReport, quotient_multigraph, structure_report,
-                     subgraph)
+from .graphs import (Graph, NotEquitable, QuotientMulti, StructureReport,
+                     quotient_multigraph, structure_report)
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        SolveResult, find_hamilton_cycle, find_hamilton_path,
                        iter_hamilton_cycles, jackson_condition,

@@ -9,7 +9,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import isqrt
 
 import numpy as np
@@ -46,22 +46,7 @@ def _poly_mod(a: int, mod: int) -> int:
 
 def _irreducible(f: int) -> bool:
     k = f.bit_length() - 1
-    if k == 1:
-        return True
-    if not f & 1:
-        return False
-    for g in range(2, 1 << (k // 2 + 1)):
-        if g.bit_length() - 1 >= 1 and _poly_divides(g, f):
-            return False
-    return True
-
-
-def _poly_divides(g: int, f: int) -> bool:
-    r = f
-    dg = g.bit_length() - 1
-    while r.bit_length() - 1 >= dg and r:
-        r ^= g << (r.bit_length() - 1 - dg)
-    return r == 0
+    return all(_poly_mod(f, g) for g in range(2, 1 << (k // 2 + 1)))
 
 
 @dataclass(frozen=True)
@@ -137,26 +122,48 @@ def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return exp, log, trace
 
 
-def _element_order(F: GF2k, a: int) -> int:
-    o = 1
-    x = a
-    while x != 1:
-        x = F.mul(x, a)
-        o += 1
-    return o
+def _prime_divisors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _has_order(x, n: int, mul, one) -> bool:
+    """Whether x has order exactly n: x^n = one and x^(n/r) != one for
+    every prime r dividing n, each power by square-and-multiply, so
+    O(log n) products per prime divisor."""
+    def power(e: int):
+        out, base = one, x
+        while e:
+            if e & 1:
+                out = mul(out, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return out
+
+    return power(n) == one and all(power(n // r) != one
+                                   for r in _prime_divisors(n))
 
 
 def field_make(k: int) -> GF2k:
-    """Deterministic GF(2^k); see module docstring for the convention."""
+    """Deterministic GF(2^k); see module docstring for the convention.
+
+    Primitivity check: x has order q - 1 by ``_has_order``, O(k) products
+    per prime divisor of q - 1 (161 products in all at k = 16).
+    """
     if not 1 <= k <= 16:
         raise DegreeOutOfRange(f"k={k} outside 1..16")
     if k == 1:
         return GF2k(1, 0b11, 1)
     for f in range(1 << k | 1, 1 << (k + 1), 2):
-        if not _irreducible(f):
-            continue
         F = GF2k(k, f, 2)
-        if _element_order(F, 2) == F.q - 1:
+        if _irreducible(f) and _has_order(2, F.q - 1, F.mul, 1):
             return F
     raise AssertionError("no primitive modulus found")
 
@@ -206,6 +213,8 @@ def s_group(F: GF2k, m: int) -> list[SMatrix]:
     b = 0 gives a = 1.  For b != 0 put B = b*theta^m and a = Bz: the
     determinant is 1 exactly when z^2 + z = (b^2 + 1)/B^2, whose roots
     are z and z + 1 for z read from a table of z^2 + z.
+
+    Then ``_check_s_group`` runs the size, closure and order checks.
     """
     if int(_trace_of_theta_pow(F, -2 * m)) == 0:
         raise ReducibleQuadratic(f"x^2 + theta^{m} x + 1 has a root")
@@ -227,16 +236,35 @@ def s_group(F: GF2k, m: int) -> list[SMatrix]:
             a = from_log(log[z] + lB)
             pairs += [(a, b), (a ^ from_log(lB), b)]
     out = [SMatrix(a, b) for a, b in sorted(pairs)]
-    if len(out) != F.q + 1:
-        raise AssertionError("S does not have order q+1")
-    members = set(out)
-    for x in out[: min(len(out), 8)]:
-        for y in out:
-            if s_mul(F, m, x, y) not in members:
-                raise AssertionError("S is not closed under product")
-    if not any(s_matrix_order(F, m, s) == F.q + 1 for s in out):
-        raise AssertionError("S is not cyclic of order q+1")
+    _check_s_group(F, m, out)
     return out
+
+
+def _check_s_group(F: GF2k, m: int, S: list[SMatrix]) -> None:
+    """Raise AssertionError unless S has q + 1 elements, is closed (the
+    first 8 rows of products, each one numpy pass in log space looked up
+    in a set of the (a, b) pairs) and has an element of order q + 1
+    (tried in list order by ``_has_order``, 11 ``s_mul`` calls at k = 8)."""
+    if len(S) != F.q + 1:
+        raise AssertionError("S does not have order q+1")
+    q1 = F.q - 1
+    exp, log, _ = _tables(F)
+    members = {(s.a, s.b) for s in S}
+    la, lb = (log[np.array(col)] for col in zip(*members))
+
+    def times(c: int, ly: np.ndarray) -> np.ndarray:
+        # c * y from log y; c = 0 or y = 0 (log -1) gives 0
+        return np.where((ly < 0) | (c == 0), 0, exp[(log[c] + ly) % q1])
+
+    tm = F.theta_pow(m)
+    for x in S[:8]:
+        a = times(x.a, la) ^ times(x.b, lb)
+        b = times(x.a, lb) ^ times(x.b, la) ^ times(F.mul(x.b, tm), lb)
+        if not members.issuperset(zip(a.tolist(), b.tolist())):
+            raise AssertionError("S is not closed under product")
+    mul = partial(s_mul, F, m)
+    if not any(_has_order(s, F.q + 1, mul, SMatrix(1, 0)) for s in S):
+        raise AssertionError("S is not cyclic of order q+1")
 
 
 def s_matrix_order(F: GF2k, m: int, s: SMatrix) -> int:

@@ -1,12 +1,8 @@
-"""Simple graphs, induced/bipartite subgraphs, quotient multigraphs."""
+"""Simple graphs, structure reports, quotient multigraphs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class OverlappingParts(ValueError):
-    """Bipartite subgraph parts must be disjoint."""
 
 
 class NotEquitable(ValueError):
@@ -180,27 +176,6 @@ def _has_cut_vertex(X: Graph) -> bool:
         if root_children > 1:
             return True
     return False
-
-
-def subgraph(X: Graph, U, W=None) -> tuple[Graph, list[int]]:
-    """Induced subgraph X(U), or the bipartite subgraph X[U, W].
-
-    Returns the relabeled graph together with the new-to-old vertex map.
-    """
-    U = sorted(set(U))
-    if W is None:
-        idx = {v: i for i, v in enumerate(U)}
-        edges = [(idx[u], idx[v]) for u in U for v in X.adj[u]
-                 if v in idx and u < v]
-        return Graph.from_edges(len(U), edges), U
-    W = sorted(set(W))
-    if set(U) & set(W):
-        raise OverlappingParts("U and W overlap")
-    verts = U + W
-    idx = {v: i for i, v in enumerate(verts)}
-    wset = set(W)
-    edges = [(idx[u], idx[v]) for u in U for v in X.adj[u] if v in wset]
-    return Graph.from_edges(len(verts), edges), verts
 
 
 @dataclass(frozen=True)

@@ -263,3 +263,12 @@ def brute_s_pairs(F, m: int) -> list[tuple[int, int]]:
     tm = F.theta_pow(m)
     return [(a, b) for a in range(F.q) for b in range(F.q)
             if F.mul(a, a) ^ F.mul(b, b) ^ F.mul(F.mul(a, b), tm) == 1]
+
+
+def stepping_order(F, a: int) -> int:
+    """Multiplicative order of a nonzero field element, by stepping through
+    its powers one product at a time."""
+    o, x = 1, a
+    while x != 1:
+        x, o = F.mul(x, a), o + 1
+    return o

@@ -2,18 +2,45 @@
 
 import random
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamvt.gf2k import (DegreeOutOfRange, ReducibleQuadratic, SMatrix, ZeroC,
+import hamvt.gf2k as gf2k
+from hamvt.gf2k import (GF2k, DegreeOutOfRange, ReducibleQuadratic, SMatrix,
+                        ZeroC, _check_s_group, _has_order, _irreducible,
                         count_eq2, field_make, quad_irreducible_m, s_group,
                         s_matrix_order, s_mul, weil_check)
 from oracles import (brute_count_eq2, brute_quad_irreducible_m, brute_s_pairs,
-                     quadratic_has_root)
+                     quadratic_has_root, stepping_order)
 
 F16 = field_make(4)
+
+#: field_make(k).modulus for k = 1..16, as first computed by stepping
+#: through every power of x.
+MODULI = (0x3, 0x7, 0xb, 0x13, 0x25, 0x43, 0x83, 0x11d, 0x211, 0x409, 0x805,
+          0x1053, 0x201b, 0x402b, 0x8003, 0x1002d)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _count_calls(name, fn):
+    """Run fn() with hamvt.gf2k.<name> wrapped; return the number of calls."""
+    calls = [0]
+    real = getattr(gf2k, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with mock.patch.object(gf2k, name, counted):
+        fn()
+    return calls[0]
 
 
 class TestFieldMake:
@@ -45,6 +72,28 @@ class TestFieldMake:
                 seen.add(x)
                 x = F.mul(x, F.theta)
             assert x == 1 and len(seen) == F.q - 1
+
+    def test_pinned_moduli(self):
+        assert tuple(field_make(k).modulus for k in range(1, 17)) == MODULI
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_order_helper_matches_stepping(self, k):
+        F = field_make(k)
+        for a in range(1, F.q):
+            o = stepping_order(F, a)
+            for n in _divisors(F.q - 1):
+                assert _has_order(a, n, F.mul, 1) == (o == n), (a, n)
+
+    def test_non_primitive_modulus_fails(self):
+        # x^4 + x^3 + x^2 + x + 1 divides x^5 + 1, so x has order 5, not 15
+        F = GF2k(4, 0x1F, 2)
+        assert _irreducible(F.modulus) and stepping_order(F, 2) == 5
+        assert not _has_order(2, F.q - 1, F.mul, 1)
+        assert _has_order(2, 5, F.mul, 1)
+
+    def test_field_make_product_count(self):
+        # stepping through the powers of x took 87,378 products at k = 16
+        assert _count_calls("_poly_mul", lambda: field_make(16)) <= 500
 
 
 elem16 = st.integers(0, 15)
@@ -110,6 +159,40 @@ class TestSGroup:
         for x in S:
             for y in S:
                 assert s_mul(F16, m, x, y) in S
+
+    @pytest.mark.parametrize("k", (2, 4, 6))
+    def test_altered_pair_not_closed(self, k):
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        S = s_group(F, m)
+        _check_s_group(F, m, S)
+        for i, s in enumerate(S):
+            for bad in (SMatrix(s.a ^ 1, s.b), SMatrix(s.a, s.b ^ 1)):
+                if bad in S:
+                    continue
+                with pytest.raises(AssertionError, match="not closed"):
+                    _check_s_group(F, m, S[:i] + [bad] + S[i + 1:])
+
+    def test_missing_element_rejected(self):
+        m = quad_irreducible_m(F16)
+        with pytest.raises(AssertionError, match="order q\\+1"):
+            _check_s_group(F16, m, s_group(F16, m)[1:])
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_order_helper_matches_s_matrix_order(self, k):
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        mul, ident = partial(s_mul, F, m), SMatrix(1, 0)
+        for s in s_group(F, m):
+            o = s_matrix_order(F, m, s)
+            for n in _divisors(F.q + 1):
+                assert _has_order(s, n, mul, ident) == (o == n), (s, n)
+
+    def test_s_mul_count(self):
+        # 2,312 scalar products when every row was multiplied out
+        F = field_make(8)
+        m = quad_irreducible_m(F)
+        assert _count_calls("s_mul", lambda: s_group(F, m)) <= 32
 
     def test_smatrix_entry_identity(self):
         m = quad_irreducible_m(F16)
@@ -220,6 +303,12 @@ class TestOracleEquivalence:
             else:
                 assert ([(s.a, s.b) for s in s_group(F, m)]
                         == brute_s_pairs(F, m)), m
+
+    def test_s_group_least_m_k9(self):
+        F = field_make(9)
+        m = quad_irreducible_m(F)
+        assert ([(s.a, s.b) for s in s_group(F, m)]
+                == brute_s_pairs(F, m))
 
 
 class TestWeil:

@@ -1,9 +1,8 @@
-"""Graph core: validation, subgraphs, reports, quotient multigraphs."""
+"""Graph core: validation, reports, quotient multigraphs."""
 
 import pytest
 
-from hamvt import (Graph, NotEquitable, OverlappingParts, quotient_multigraph,
-                   structure_report, subgraph)
+from hamvt import Graph, NotEquitable, quotient_multigraph, structure_report
 from hamvt.products import catalog
 
 
@@ -49,28 +48,6 @@ class TestGraph:
     def test_connectivity(self):
         assert cycle_graph(4).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
-
-
-class TestSubgraph:
-    def test_independent_set(self):
-        X, vmap = subgraph(cycle_graph(6), {0, 2, 4})
-        assert X.n == 3 and X.edge_count() == 0
-        assert vmap == [0, 2, 4]
-
-    def test_induced_triangle(self):
-        K4 = catalog("complete:4")
-        X, _ = subgraph(K4, {0, 1, 2})
-        assert X.edge_count() == 3
-
-    def test_bipartite_cross(self):
-        X, vmap = subgraph(cycle_graph(6), {0, 2, 4}, {1, 3, 5})
-        assert X.n == 6 and X.edge_count() == 6
-        assert all(X.degree(v) == 2 for v in range(6))
-        assert vmap == [0, 2, 4, 1, 3, 5]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(OverlappingParts):
-            subgraph(cycle_graph(6), {0, 1}, {1, 2})
 
 
 class TestStructureReport:
