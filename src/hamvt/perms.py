@@ -9,14 +9,14 @@ construction and skip the check.  Groups carry a deterministic
 stabilizer chain with base 0, 1, 2, ..., n-1, built once on first use by
 one Schreier-Sims pass that sifts each Schreier generator once.  Point
 stabilizers come from Schreier generators of a breadth-first
-transversal, no chain.
+transversal, no chain, whose elements the semiregular search tries first.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 #: Seed for the randomized search for semiregular elements.
 SEMIREGULAR_SEED = 1729
@@ -387,28 +387,31 @@ def block_systems(G: PermGroup) -> list[BlockSystem]:
 
 
 def _semiregular_from(g: Perm, p: int) -> Perm | None:
-    o = g.order()
-    if o % p:
+    """g^(|g|/p) if it is n/p p-cycles: g^k cuts an L-cycle in gcd(L, k)."""
+    lens = set(g.cycle_lengths())
+    o = lcm(*lens)
+    if o % p or any(L // gcd(L, o // p) != p for L in lens):
         return None
-    h = g ** (o // p)
-    if all(len(c) == p for c in h.cycles()) and not any(
-        h.images[i] == i for i in range(h.degree)
-    ):
-        return h
-    return None
+    return g ** (o // p)
 
 
 def find_semiregular(G: PermGroup, p: int,
                      seed: int = SEMIREGULAR_SEED) -> Perm | None:
     """Search for an element with n/p cycles of length exactly p.
 
-    Groups of order at most ``SEMIREGULAR_EXHAUSTIVE_CAP`` are scanned
-    element by element, so ``None`` proves that no such element exists;
-    larger groups get ``SEMIREGULAR_WORDS`` seeded random words, and
-    ``None`` then only means none was found.  ``None`` is also certain
-    when p fails to divide the degree or the group order.
+    The words of ``G.transversal_from(0)`` are tried first, no chain.  On
+    a miss, groups of order at most ``SEMIREGULAR_EXHAUSTIVE_CAP`` are
+    scanned element by element, so ``None`` proves that no such element
+    exists; larger groups get ``SEMIREGULAR_WORDS`` seeded random words,
+    and ``None`` then only means none was found.  ``None`` is also
+    certain when p fails to divide the degree or the group order.
     """
-    if G.degree % p or G.order() % p:
+    if G.degree % p or not G.degree:
+        return None
+    for g in G.transversal_from(0).values():
+        if (h := _semiregular_from(g, p)) is not None:
+            return h
+    if G.order() % p:
         return None
     if G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP:
         candidates = G.elements()
@@ -416,8 +419,7 @@ def find_semiregular(G: PermGroup, p: int,
         rng = random.Random(seed)
         candidates = (G.random_element(rng) for _ in range(SEMIREGULAR_WORDS))
     for g in candidates:
-        h = _semiregular_from(g, p)
-        if h is not None:
+        if (h := _semiregular_from(g, p)) is not None:
             return h
     return None
 

@@ -29,6 +29,16 @@ def naive_closure(degree: int, gens) -> set[Perm]:
     return elems
 
 
+def brute_semiregular(degree: int, gens, p: int) -> set[Perm]:
+    """Every element of <gens> that is degree/p cycles of length p.
+
+    Closure of the whole group, then each element's cycle lengths.  The
+    identity never counts, not even at degree 0.
+    """
+    return {g for g in naive_closure(degree, gens)
+            if not g.is_identity() and set(g.cycle_lengths()) == {p}}
+
+
 def enumerated_coset_key(helems, g: Perm) -> tuple[int, ...]:
     """Least image tuple over the coset H*g, by listing every h in H."""
     return min((h * g).images for h in helems)

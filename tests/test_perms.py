@@ -13,6 +13,7 @@ from hamvt import (GroupDegreeMismatch, MalformedInput, NotTransitive, Perm,
 from hamvt.perms import _min_coset_rep
 from hamvt.pipeline import parse_cycle_notation
 from oracles import enumerated_coset_key, naive_closure, naive_minimal_block
+from oracles import brute_semiregular
 
 
 def perm_st(n):
@@ -329,6 +330,46 @@ class TestSemiregular:
                 if g is not None:
                     assert sorted(len(c) for c in g.cycles()) == \
                         [p] * (n // p), name
+
+
+ORACLE_CATALOG = ("petersen", "coxeter", "truncated_petersen",
+                  "truncated_coxeter", "heawood", "non_incidence_pg22",
+                  "crown:5", "prism:7", "prism:20", "circulant:30:1,6",
+                  "circulant:60:1,6", "complete:5", "complete_bipartite:3:3")
+
+
+def _oracle_groups():
+    from hamvt import catalog, catalog_gens
+    from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens
+    out = dict(SMALL_GROUPS)
+    for name in ORACLE_CATALOG:
+        out[name] = (catalog(name).n, catalog_gens(name))
+    A = coset_action(PermGroup(17, psl2_16_gens()[1]),
+                     psl2_16_h_gens()).group
+    out["PSL(2,16)/51"] = (51, A.generators)
+    out["degree 0"] = (0, [])
+    out["no generators"] = (6, [])
+    return out
+
+
+ORACLE_GROUPS = _oracle_groups()
+
+
+class TestSemiregularOracle:
+    """``find_semiregular`` against a scan of every element."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_none_exactly_when_brute_scan_finds_none(self, name):
+        n, gens = ORACLE_GROUPS[name]
+        G = PermGroup(n, gens)
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % d for d in range(2, p))]
+        for p in primes or [2, 3]:  # degree 0 has no prime divisor
+            got = find_semiregular(G, p)
+            brute = brute_semiregular(n, gens, p)
+            assert (got is None) == (not brute), (name, p)
+            if got is not None:
+                assert got in brute and G.contains(got), (name, p)
 
 
 class TestCosetAction:

@@ -196,6 +196,64 @@ class TestGroupObject:
         assert rep.to_json() == analyze(X, catalog_gens("petersen")).to_json()
 
 
+def psl2_16_orbital_graphs():
+    """PSL(2,16) on 51 cosets and its 14 connected orbital graphs."""
+    G = PermGroup(17, psl2_16_gens()[1])
+    A = coset_action(G, psl2_16_h_gens()).group
+    graphs = [og.graph for og in (
+        orbital_graph(A, 0, sel)
+        for sel in pair_closed_selections(suborbits(A, 0)))
+        if og.connected]
+    assert len(graphs) == 14
+    return A, graphs
+
+
+class TestChainFreeSemiregular:
+    """A semiregular element found among the transversal words needs no
+    stabilizer chain."""
+
+    def test_psl2_16_generators_build_no_chain(self, monkeypatch):
+        A, graphs = psl2_16_orbital_graphs()
+        builds = []
+
+        class CountedChain(perms._Chain):
+            def __init__(self, *args):
+                builds.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(perms, "_Chain", CountedChain)
+        traces = [analyze(X, A.generators).strategy_trace for X in graphs]
+        assert 51 not in builds
+        monkeypatch.undo()
+        assert traces == [analyze(X, A).strategy_trace for X in graphs]
+
+
+def relabelled(X: Graph, gens, seed: int):
+    """X and its generators under one seeded relabelling v -> sigma[v]."""
+    sigma = random.Random(seed).sample(range(X.n), X.n)
+    Y = Graph.from_edges(X.n, [(sigma[u], sigma[w]) for u, w in X.edges()])
+    conj = []
+    for g in gens:
+        images = [0] * X.n
+        for v in range(X.n):
+            images[sigma[v]] = sigma[g.images[v]]
+        conj.append(Perm(tuple(images)))
+    return Y, conj
+
+
+class TestLabelling:
+    """Strategy traces do not depend on how the vertices are labelled."""
+
+    @pytest.mark.parametrize("name", ["prism:20", "truncated_petersen",
+                                      "circulant:60:1,6"])
+    def test_traces_ignore_relabelling(self, name):
+        X, gens = catalog(name), catalog_gens(name)
+        want = analyze(X, gens).strategy_trace
+        for seed in range(1, 6):
+            Y, conj = relabelled(X, gens, seed)
+            assert analyze(Y, conj).strategy_trace == want, seed
+
+
 REPORT_KEYS = {"n", "edge_count", "connected", "vertex_transitive",
                "strategy_trace", "result", "certificate", "path_certificate",
                "exception_flag", "reason"}
