@@ -12,8 +12,8 @@ from hamvt import (GroupDegreeMismatch, MalformedInput, NotTransitive, Perm,
                    point_stabilizer)
 from hamvt.perms import _min_coset_rep
 from hamvt.pipeline import parse_cycle_notation
-from oracles import enumerated_coset_key, naive_closure, naive_minimal_block
-from oracles import brute_semiregular
+from oracles import (brute_semiregular, enumerated_coset_key, naive_closure,
+                     naive_minimal_block)
 
 
 def perm_st(n):
