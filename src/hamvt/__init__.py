@@ -2,20 +2,17 @@
 
 from .gf2k import (GF2k, SMatrix, count_eq2, field_make, quad_irreducible_m,
                    s_group, s_matrix_order, s_mul, weil_check)
-from .graphs import (Graph, NotEquitable, QuotientMulti, StructureReport,
-                     quotient_multigraph, structure_report)
+from .graphs import Graph
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        SolveResult, find_hamilton_cycle, find_hamilton_path,
-                       iter_hamilton_cycles, jackson_condition,
-                       verify_hamilton)
+                       iter_hamilton_cycles, verify_hamilton)
 from .lift import (InvalidChoice, NotAutomorphism, NotSemiregular,
                    SemiregularDecomposition, VoltageAssignment, cycle_voltage,
                    decompose, lift_hamilton, lifted_components,
                    quotient_graph, voltage_assignment,
                    voltages_are_coboundary)
 from .orbital import (EmptySelection, OrbitalGraph, SuborbitTable,
-                      block_quotient, orbital_graph, pair_closed_selections,
-                      suborbits)
+                      orbital_graph, pair_closed_selections, suborbits)
 from .perms import (BlockSystem, CosetAction, NotTransitive, Perm, PermGroup,
                     SubgroupNotContained, block_systems, coset_action,
                     find_semiregular, minimal_block, point_stabilizer)

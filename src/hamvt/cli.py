@@ -19,7 +19,7 @@ from .hamilton import (DEFAULT_BUDGET, HamiltonCertificate,
                        find_hamilton_cycle, find_hamilton_path,
                        verify_hamilton)
 from .orbital import orbital_graph, suborbits
-from .perms import SEMIREGULAR_SEED, Perm, PermGroup
+from .perms import SEMIREGULAR_SEED
 from .pipeline import (GroupDegreeMismatch, GroupNotAutomorphisms,
                        MalformedInput, analyze, graph_from_json,
                        group_from_json)
@@ -35,12 +35,6 @@ EXIT_INTERNAL = 4
 def _load_json(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
-
-
-def _load_group(path: str) -> tuple[int, list[Perm]]:
-    d = _load_json(path)
-    gens = group_from_json(d)
-    return int(d["degree"]), gens
 
 
 def _load_graph(args) -> Graph:
@@ -61,14 +55,12 @@ def _emit(args, payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     X = _load_graph(args)
-    gens = None
+    group = None
     if args.group:
-        degree, gens = _load_group(args.group)
-        if degree != X.n:
-            raise GroupDegreeMismatch(f"group degree {degree} != {X.n}")
+        group = group_from_json(_load_json(args.group))
     elif args.catalog:
-        gens = catalog_gens(args.catalog)
-    report = analyze(X, gens, budget=args.budget, seed=args.seed)
+        group = catalog_gens(args.catalog)
+    report = analyze(X, group, budget=args.budget, seed=args.seed)
     _emit(args, report.to_json())
     if report.result == "certificate":
         return EXIT_FOUND
@@ -78,8 +70,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_orbital(args) -> int:
-    degree, gens = _load_group(args.group)
-    G = PermGroup(degree, gens)
+    G = group_from_json(_load_json(args.group))
     suborbits(G, args.point)  # memoized: a bad point before a bad index
     sel = [int(x) for x in args.selection.split(",") if x != ""]
     result = orbital_graph(G, args.point, sel)

@@ -1,4 +1,4 @@
-"""Exact Hamilton cycle/path search, certificate checks, Jackson predicate.
+"""Exact Hamilton cycle/path search and certificate checks.
 
 The solver is the brute-force oracle for every Hamiltonicity claim in the
 library: "none" is returned only after an exhaustive search completes, and
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, StructureReport, structure_report
+from .graphs import Graph
 
 DEFAULT_BUDGET = 10**9
 
@@ -64,18 +64,6 @@ def verify_hamilton(X: Graph, cert: HamiltonCertificate) -> bool:
     if cert.kind == "path":
         return True
     return False
-
-
-def jackson_condition(X: Graph) -> bool:
-    """2-connected, regular, valency at least a third of the order."""
-    return jackson_met(structure_report(X), X.n)
-
-
-def jackson_met(rep: StructureReport, n: int) -> bool:
-    """The Jackson condition, read off the structure report of a graph
-    on n vertices."""
-    return (rep.two_connected and rep.regular is not None
-            and 3 * rep.regular >= n)
 
 
 class _Search:

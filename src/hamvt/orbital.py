@@ -1,4 +1,4 @@
-"""Suborbits, pairing, generalized orbital graphs, block quotients.
+"""Suborbits, pairing and generalized orbital graphs.
 
 A suborbit table is computed once per group object and point, and held
 in a ``weakref.WeakKeyDictionary`` keyed by the group's identity, so an
@@ -15,11 +15,10 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import index
 from types import MappingProxyType
 
 from .graphs import Graph
-from .perms import (BlockSystem, NotTransitive, Perm, PermGroup,
+from .perms import (NotTransitive, Perm, PermGroup, _index,
                     stabilizer_from_transversal)
 
 
@@ -53,13 +52,6 @@ class SuborbitTable:
 
     def trivial_index(self) -> int:
         return self.index_of(self.base)
-
-
-def _index(i) -> int:
-    """i as an int; floats and bools raise ``TypeError``."""
-    if isinstance(i, bool):
-        raise TypeError(f"{i!r} is not an index")
-    return index(i)
 
 
 #: group -> {point: table}; weak keys, compared by identity.
@@ -148,19 +140,3 @@ def pair_closed_selections(table: SuborbitTable):
         for combo in combinations(classes, r):
             yield [i for cl in combo for i in cl]
 
-
-def block_quotient(X: Graph, system: BlockSystem) -> Graph:
-    """Simple quotient: cells adjacent iff joined by at least one edge."""
-    cells = system.cells
-    cell_of = {}
-    for i, c in enumerate(cells):
-        for v in c:
-            cell_of[v] = i
-    if sorted(cell_of) != list(range(X.n)):
-        raise ValueError("cells do not partition the vertex set")
-    edges = set()
-    for u, w in X.edges():
-        a, b = cell_of[u], cell_of[w]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph.from_edges(len(cells), sorted(edges))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import index
 
 #: Seed for the randomized search for semiregular elements.
 SEMIREGULAR_SEED = 1729
@@ -37,6 +38,13 @@ class SubgroupNotContained(ValueError):
 
 class GroupDegreeMismatch(ValueError):
     """A generator's degree differs from the group's or the graph's."""
+
+
+def _index(i) -> int:
+    """i as an int; floats and bools raise ``TypeError``."""
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is not an index")
+    return index(i)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class Perm:
 
     @staticmethod
     def from_images(images) -> "Perm":
-        return Perm(tuple(int(i) for i in images))
+        return Perm(tuple(_index(i) for i in images))
 
     @property
     def degree(self) -> int:

@@ -1,10 +1,9 @@
-"""Strategy-cascade analysis: lifting, Jackson, exact fallback.
+"""Strategy-cascade analysis: lifting, then exact search.
 
 The cascade mirrors the structural proof strategy but is case-agnostic:
 (1) validate the supplied automorphisms, (2) try cycle lifting through
 a semiregular p-element for each prime p dividing n, largest first, (3)
-record whether the Jackson sufficient condition holds, (4) run the exact
-solver within budget.
+run the exact solver within budget.
 """
 
 from __future__ import annotations
@@ -12,14 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graphs import Graph, structure_report
+from .graphs import Graph
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        contract_triangles, find_hamilton_cycle,
-                       find_hamilton_path, jackson_met, verify_hamilton)
+                       find_hamilton_path, verify_hamilton)
 from .lift import _lift
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, GroupDegreeMismatch, Perm, PermGroup,
-                    find_semiregular)
+                    _index, find_semiregular)
 
 
 class MalformedInput(ValueError):
@@ -94,13 +93,28 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
     """Full strategy-cascade report for a graph and optional group.
 
     ``group_gens`` is a sequence of generators (``Perm`` or image lists)
-    or a ``PermGroup``, whose stabilizer chain is then reused.
+    or a ``PermGroup``, whose stabilizer chain is then reused.  The group
+    is checked before anything else, so a bad group is rejected for
+    every graph.
     """
-    rep = structure_report(X)
-    report = AnalysisReport(X.n, X.edge_count(), rep.connected, None)
+    G = None
+    if group_gens is not None:
+        # a PermGroup is used as it is, so its stabilizer chain is reused
+        G = (group_gens if isinstance(group_gens, PermGroup)
+             else PermGroup(X.n, group_gens))
+        if G.degree != X.n:
+            raise GroupDegreeMismatch(f"group degree {G.degree} != {X.n}")
+        for g in G.generators:
+            for u, w in X.edges():
+                if not X.has_edge(g.images[u], g.images[w]):
+                    raise GroupNotAutomorphisms(
+                        "a generator does not preserve the edge set")
+
+    connected = X.is_connected()
+    report = AnalysisReport(X.n, X.edge_count(), connected, None)
     report.exception_flag = _is_truncation_exception(X)
 
-    if not rep.connected:
+    if not connected:
         report.result = "no_hamilton_cycle"
         report.reason = "disconnected"
         report.strategy_trace.append(
@@ -113,17 +127,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
             {"strategy": "structure", "outcome": "too small"})
         return report
 
-    if group_gens is not None:
-        # a PermGroup is used as it is, so its stabilizer chain is reused
-        G = (group_gens if isinstance(group_gens, PermGroup)
-             else PermGroup(X.n, group_gens))
-        if G.degree != X.n:
-            raise GroupDegreeMismatch(f"group degree {G.degree} != {X.n}")
-        for g in G.generators:
-            for u, w in X.edges():
-                if not X.has_edge(g.images[u], g.images[w]):
-                    raise GroupNotAutomorphisms(
-                        "a generator does not preserve the edge set")
+    if G is not None:
         report.vertex_transitive = G.is_transitive()
         # largest p first: its quotient, with n/p cells, is the smallest
         for p in reversed(_primes(X.n)):
@@ -152,12 +156,6 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                 report.certificate = cert
                 return report
 
-    # recorded only: the exact search below decides either way
-    met = jackson_met(rep, X.n)
-    report.strategy_trace.append(
-        {"strategy": "jackson",
-         "outcome": "condition met" if met else "condition not met"})
-
     res = find_hamilton_cycle(X, budget)
     report.strategy_trace.append(
         {"strategy": "exact_search", "outcome": res.status})
@@ -177,10 +175,11 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
 
 
 def graph_from_json(d: dict) -> Graph:
-    """Ingest {"n": int, "edges": [[u, v], ...]} with validation."""
+    """Ingest {"n": int, "edges": [[u, v], ...]} with validation; every
+    number must be an integer (not a float or a bool)."""
     try:
-        n = int(d["n"])
-        edges = [(int(u), int(v)) for u, v in d["edges"]]
+        n = _index(d["n"])
+        edges = [(_index(u), _index(v)) for u, v in d["edges"]]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad graph JSON: {e}") from None
     try:
@@ -208,16 +207,14 @@ def parse_cycle_notation(s: str, degree: int) -> Perm:
     return Perm(tuple(images))
 
 
-def group_from_json(d: dict) -> list[Perm]:
-    """Ingest {"degree": n, "generators": [...]}; each generator is an
-    image list or a cycle-notation string such as "(0 1 2)(3 4)"."""
+def group_from_json(d: dict) -> PermGroup:
+    """Ingest {"degree": n, "generators": [...]} as a ``PermGroup``; each
+    generator is an image list of integers or a cycle-notation string
+    such as "(0 1 2)(3 4)".  ``PermGroup`` checks every degree."""
     try:
-        n = int(d["degree"])
+        n = _index(d["degree"])
         gens = [parse_cycle_notation(g, n) if isinstance(g, str)
                 else Perm.from_images(g) for g in d["generators"]]
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad group JSON: {e}") from None
-    for g in gens:
-        if g.degree != n:
-            raise GroupDegreeMismatch("generator degree != declared degree")
-    return gens
+    return PermGroup(n, gens)

@@ -60,6 +60,34 @@ def naive_minimal_block(degree: int, gens, a: int, b: int) -> set[int]:
     return best
 
 
+def jackson_condition(X: Graph) -> bool:
+    """Regular, 3 * valency >= n, and 2-connected: connected on at least
+    three vertices, and still connected with any one vertex deleted."""
+    degs = {X.degree(v) for v in range(X.n)}
+    if X.n < 3 or len(degs) != 1 or 3 * degs.pop() < X.n:
+        return False
+    return X.is_connected() and all(
+        Graph.from_edges(X.n - 1, [(a - (a > v), b - (b > v))
+                                   for a, b in X.edges() if v not in (a, b)]
+                         ).is_connected()
+        for v in range(X.n))
+
+
+def cell_valencies(X: Graph, cells) -> dict[tuple[int, int], int] | None:
+    """(i, j) -> neighbours in cell j of each vertex of cell i, or None
+    when two vertices of one cell disagree (the partition is not
+    equitable)."""
+    cell_of = {v: i for i, c in enumerate(cells) for v in c}
+    out = {}
+    for i, c in enumerate(cells):
+        rows = {tuple(sum(cell_of[w] == j for w in X.adj[v])
+                      for j in range(len(cells))) for v in c}
+        if len(rows) != 1:
+            return None
+        out.update(((i, j), k) for j, k in enumerate(rows.pop()))
+    return out
+
+
 def naive_hamilton_cycle(X: Graph) -> bool:
     """Permutation enumeration: any cyclic order with all edges present."""
     n = X.n

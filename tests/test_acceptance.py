@@ -14,14 +14,15 @@ import pytest
 from hamvt import (Perm, PermGroup, ProductModel, analyze, catalog,
                    catalog_gens, coset_action, count_eq2, cycle_voltage,
                    decompose, find_hamilton_cycle, find_hamilton_path,
-                   find_semiregular, iter_hamilton_cycles, jackson_condition,
-                   lifted_components, minimal_block, orbital_graph,
-                   quad_irreducible_m, quotient_graph, s_group,
-                   s_matrix_order, suborbits, verify_hamilton,
-                   voltage_assignment, weil_check, y1_cycle, y2_cycle)
+                   find_semiregular, iter_hamilton_cycles, lifted_components,
+                   minimal_block, orbital_graph, quad_irreducible_m,
+                   quotient_graph, s_group, s_matrix_order, suborbits,
+                   verify_hamilton, voltage_assignment, weil_check,
+                   y1_cycle, y2_cycle)
 from hamvt.fixtures import moebius_perm, psl2_16_gens, s6_on_s4_cosets
 from hamvt.gf2k import field_make
-from oracles import naive_hamilton_cycle, naive_minimal_block
+from oracles import (jackson_condition, naive_hamilton_cycle,
+                     naive_minimal_block)
 
 
 def report(num, ok, detail):

@@ -8,7 +8,8 @@ from hamvt import (BadParams, HamiltonCertificate, Perm, catalog,
                    catalog_gens, verify_hamilton)
 from hamvt.cli import (EXIT_FOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NONE,
                        EXIT_UNKNOWN, main)
-from hamvt.pipeline import MalformedInput, parse_cycle_notation
+from hamvt.pipeline import (MalformedInput, graph_from_json, group_from_json,
+                            parse_cycle_notation)
 from test_lift import km_c3
 
 
@@ -128,6 +129,53 @@ class TestCommands:
         grp.write_text(json.dumps({"degree": 10, "generators": ["(0 1)"]}))
         assert main(["analyze", "--graph", str(g),
                      "--group", str(grp)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("graph, group", [
+        ({"n": 4, "edges": [[0, 1], [2, 3]]},
+         {"degree": 4, "generators": ["(0 1 2 3)"]}),
+        ({"n": 4, "edges": [[0, 1], [2, 3]]},
+         {"degree": 5, "generators": []}),
+        ({"n": 2, "edges": [[0, 1]]}, {"degree": 5, "generators": []}),
+        ({"n": 2, "edges": [[0, 1]]}, {"degree": 5, "generators": ["(0 1)"]}),
+        ({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+         {"degree": 4, "generators": []}),
+    ], ids=["disconnected-not-automorphism", "disconnected-degree",
+            "K_2-degree-no-generators", "K_2-degree", "K_3-degree"])
+    def test_analyze_bad_group_for_every_graph(self, graph, group, tmp_path,
+                                               capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        grp = tmp_path / "grp.json"
+        grp.write_text(json.dumps(group))
+        assert main(["analyze", "--graph", str(g),
+                     "--group", str(grp)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("graph, group", [
+        ({"n": 4.9, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}, None),
+        ({"n": 4, "edges": [[0.7, 1], [1, 2], [2, 3], [3, 0]]}, None),
+        ({"n": True, "edges": []}, None),
+        ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+         {"degree": 4.7, "generators": []}),
+        ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+         {"degree": 4, "generators": [[1, 2, 3, 0.5]]}),
+    ], ids=["n_float", "edge_float", "n_bool", "degree_float",
+            "image_float"])
+    def test_analyze_non_integer_json(self, graph, group, tmp_path, capsys):
+        with pytest.raises(MalformedInput):
+            if group is None:
+                graph_from_json(graph)
+            else:
+                group_from_json(group)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        argv = ["analyze", "--graph", str(g)]
+        if group is not None:
+            grp = tmp_path / "grp.json"
+            grp.write_text(json.dumps(group))
+            argv += ["--group", str(grp)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_orbital(self, tmp_path, capsys):
         grp = tmp_path / "d5.json"

@@ -8,13 +8,14 @@ import pytest
 
 from hamvt import (BudgetExhausted, Graph, HamiltonCertificate,
                    find_hamilton_cycle, find_hamilton_path,
-                   iter_hamilton_cycles, jackson_condition, orbital_graph,
-                   suborbits, verify_hamilton)
+                   iter_hamilton_cycles, orbital_graph, suborbits,
+                   verify_hamilton)
 from hamvt.fixtures import s6_on_s4_cosets
 from hamvt.hamilton import _Search, contract_triangles
 from hamvt.products import catalog, truncate_cubic
 from oracles import (ChainFreeSearch, ReferenceSearch, held_karp_cycle,
-                     naive_hamilton_cycle, naive_hamilton_path)
+                     jackson_condition, naive_hamilton_cycle,
+                     naive_hamilton_path)
 
 SMALL_CORPUS = [
     "petersen", "crown:3", "crown:4", "crown:5",

@@ -1,4 +1,4 @@
-"""Suborbits, orbital graphs, block quotients."""
+"""Suborbits and orbital graphs."""
 
 import dataclasses
 import gc
@@ -9,9 +9,8 @@ from types import MappingProxyType
 import pytest
 
 import hamvt.orbital
-from hamvt import (BlockSystem, EmptySelection, Graph, NotTransitive, Perm,
-                   PermGroup, block_quotient, coset_action, orbital_graph,
-                   point_stabilizer, suborbits)
+from hamvt import (EmptySelection, Graph, NotTransitive, Perm, PermGroup,
+                   coset_action, orbital_graph, point_stabilizer, suborbits)
 from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens, s6_on_s4_cosets
 from hamvt.products import catalog
 from oracles import naive_closure
@@ -345,25 +344,3 @@ class TestSuborbitMemo:
         assert isinstance(tbl.suborbits, tuple)
         assert isinstance(tbl.pairing, tuple)
 
-
-class TestBlockQuotient:
-    def test_c6_mod_antipodes(self):
-        C6 = catalog("circulant:6:1")
-        sys_ = BlockSystem(((0, 3), (1, 4), (2, 5)), 2)
-        assert block_quotient(C6, sys_) == catalog("complete:3")
-
-    def test_prism_triangles(self):
-        PR = catalog("prism:3")
-        sys_ = BlockSystem(((0, 1, 2), (3, 4, 5)), 3)
-        Q = block_quotient(PR, sys_)
-        assert Q.n == 2 and Q.edge_count() == 1
-
-    def test_singletons_identity(self):
-        P = catalog("petersen")
-        sys_ = BlockSystem(tuple((v,) for v in range(10)), 1)
-        assert block_quotient(P, sys_) == P
-
-    def test_connected_quotient(self):
-        C12 = catalog("circulant:12:1")
-        sys_ = BlockSystem(tuple((i, i + 6) for i in range(6)), 2)
-        assert block_quotient(C12, sys_).is_connected()
