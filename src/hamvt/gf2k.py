@@ -14,6 +14,8 @@ from math import isqrt
 
 import numpy as np
 
+from .perms import _prime_divisors
+
 
 class DegreeOutOfRange(ValueError):
     """Supported extension degrees are 1..16."""
@@ -102,9 +104,12 @@ def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     trace[a] = a + a^2 + a^4 + ... + a^(2^(k-1)), which is 0 or 1.
     """
     q1 = F.q - 1
+    # theta = x for k >= 2: times x is a shift, reduced by the modulus
+    # when degree k appears; at k = 1 (theta = 1) the loop does not run
     exp = [1]
     for _ in range(q1 - 1):
-        exp.append(F.mul(exp[-1], F.theta))
+        a = exp[-1] << 1
+        exp.append(a ^ F.modulus if a & F.q else a)
     exp = np.array(exp, dtype=np.int64)
     log = np.full(F.q, -1, dtype=np.int64)
     log[exp] = np.arange(q1)
@@ -120,17 +125,6 @@ def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (exp, log, trace):
         arr.setflags(write=False)
     return exp, log, trace
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
 
 
 def _has_order(x, n: int, mul, one) -> bool:

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+from operator import index
+
+
+def _index(i) -> int:
+    """i as an int; floats and bools raise ``TypeError``."""
+    if isinstance(i, bool):
+        raise TypeError(f"{i!r} is not an index")
+    return index(i)
+
 
 class Graph:
     """Finite simple undirected graph with sorted adjacency lists.
@@ -31,9 +40,12 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Graph on n vertices; n and every endpoint are read by
+        ``_index``, so a float or a bool raises ``TypeError``."""
+        n = _index(n)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _index(u), _index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("vertex out of range")
             adj[u].append(v)
@@ -48,6 +60,13 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adjsets[u]
+
+    def preserved_by(self, images) -> bool:
+        """Whether the bijection ``images`` of 0..n-1 maps every edge to an
+        edge, read off the adjacency rows without listing the edges."""
+        adjsets = self._adjsets
+        return all(adjsets[images[u]].issuperset(map(images.__getitem__, row))
+                   for u, row in enumerate(self.adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, _index
 
 DEFAULT_BUDGET = 10**9
 
@@ -32,10 +32,12 @@ class HamiltonCertificate:
         if not isinstance(d, dict) or d.get("kind") not in ("cycle", "path"):
             raise ValueError('certificate needs "kind": "cycle" or "path"')
         seq = d.get("sequence")
-        if not isinstance(seq, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in seq):
-            raise ValueError('certificate "sequence" must be a list of ints')
-        return HamiltonCertificate(d["kind"], tuple(seq))
+        if isinstance(seq, list):
+            try:
+                return HamiltonCertificate(d["kind"], tuple(map(_index, seq)))
+            except TypeError:
+                pass
+        raise ValueError('certificate "sequence" must be a list of ints')
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Voltages over Z_p and cycle lifting through semiregular automorphisms.
 
-Sign convention, used everywhere: traversing a quotient edge from cell A
-to cell B with voltage j asserts rep(A) ~ rep(B)^(rho^j); the reverse
-traversal contributes -j.  The net voltage around a quotient cycle
-decides the lift dichotomy: nonzero mod p lifts to a single kp-cycle,
-zero to p vertex-disjoint k-cycles.
+Sign convention: traversing a quotient edge from cell A to cell B with
+voltage j asserts rep(A) ~ rep(B)^(rho^j), so the reverse traversal has
+voltage -j.  ``voltage_assignment`` applies this rule, once per edge of
+X, and every reader looks the directed pair up.  The net voltage around
+a quotient cycle decides the lift dichotomy: nonzero mod p lifts to a
+single kp-cycle, zero to p vertex-disjoint k-cycles.
 """
 
 from __future__ import annotations
@@ -49,63 +50,56 @@ class SemiregularDecomposition:
 
 @dataclass(frozen=True)
 class VoltageAssignment:
-    """Voltage sets of the quotient: cross[(a, b)] = {j : rep(a) ~
-    rep(b)^(rho^j)} for a < b, and internal[a] likewise within cell a."""
+    """Voltage sets of the quotient, one per directed pair of cells:
+    table[(a, b)] = {j : rep(a) ~ rep(b)^(rho^j)}, where (a, a) holds the
+    steps within cell a and a pair that no edge joins is absent."""
 
     p: int
-    cross: dict[tuple[int, int], frozenset[int]]
-    internal: dict[int, frozenset[int]]
+    table: dict[tuple[int, int], frozenset[int]]
+
+    @property
+    def cross(self) -> dict[tuple[int, int], frozenset[int]]:
+        """The voltage sets of the quotient edges (a, b) with a < b."""
+        return {(a, b): js for (a, b), js in self.table.items() if a < b}
 
     def voltages(self, a: int, b: int) -> frozenset[int]:
-        """Voltage set for the traversal a -> b (sign-adjusted); a == b
-        gives the internal steps of cell a."""
-        if a == b:
-            return self.internal[a]
-        if a < b:
-            return self.cross.get((a, b), frozenset())
-        return frozenset((-j) % self.p
-                         for j in self.cross.get((b, a), frozenset()))
+        """Voltage set for the traversal a -> b."""
+        return self.table.get((a, b), frozenset())
 
 
 def decompose(X: Graph, rho: Perm, p: int) -> SemiregularDecomposition:
     """Cells and positions for a verified (m,p)-semiregular automorphism."""
     if rho.degree != X.n:
         raise NotAutomorphism("degree mismatch")
-    for u, w in X.edges():
-        if not X.has_edge(rho.images[u], rho.images[w]):
-            raise NotAutomorphism("rho does not preserve the edge set")
-    cycs = rho.cycles()
-    if sum(len(c) for c in cycs) != X.n or any(len(c) != p for c in cycs):
-        raise NotSemiregular(f"cycle type is not ({X.n // p},{p})")
-    cells = []
-    for c in sorted(cycs):
-        k = c.index(min(c))
-        cells.append(c[k:] + c[:k])
-    cells.sort(key=lambda c: c[0])
+    if not X.preserved_by(rho.images):
+        raise NotAutomorphism("rho does not preserve the edge set")
+    return _decompose(rho, p)
+
+
+def _decompose(rho: Perm, p: int) -> SemiregularDecomposition:
+    """``decompose`` for a rho already known to be an automorphism."""
+    cells = rho.cycles()  # each starts at its minimum, and they are sorted
+    n = rho.degree
+    if sum(len(c) for c in cells) != n or any(len(c) != p for c in cells):
+        raise NotSemiregular(f"cycle type is not ({n // p},{p})")
     position = {v: (i, j) for i, c in enumerate(cells)
                 for j, v in enumerate(c)}
-    return SemiregularDecomposition(rho, p, len(cells),
-                                    tuple(tuple(c) for c in cells), position)
+    return SemiregularDecomposition(rho, p, len(cells), tuple(cells),
+                                    position)
 
 
 def voltage_assignment(X: Graph,
                        dec: SemiregularDecomposition) -> VoltageAssignment:
     """All voltages realized by edges of X between and within cells."""
-    cross: dict[tuple[int, int], set[int]] = {}
-    internal: dict[int, set[int]] = {i: set() for i in range(dec.m)}
+    table: dict[tuple[int, int], set[int]] = {}
     for u, w in X.edges():
         a, i = dec.position[u]
         b, j = dec.position[w]
-        if a == b:
-            internal[a].update({(j - i) % dec.p, (i - j) % dec.p})
-        else:
-            if a > b:
-                a, b, i, j = b, a, j, i
-            # shift u back to rep(a): rep(a) ~ w^(rho^-i) = rep(b)^(rho^(j-i))
-            cross.setdefault((a, b), set()).add((j - i) % dec.p)
+        # shift u back to rep(a): rep(a) ~ w^(rho^-i) = rep(b)^(rho^(j-i))
+        table.setdefault((a, b), set()).add((j - i) % dec.p)
+        table.setdefault((b, a), set()).add((i - j) % dec.p)
     return VoltageAssignment(dec.p,
-                             {k: frozenset(v) for k, v in cross.items()},
-                             {k: frozenset(v) for k, v in internal.items()})
+                             {k: frozenset(v) for k, v in table.items()})
 
 
 def quotient_graph(dec: SemiregularDecomposition,
@@ -215,32 +209,28 @@ def lift_hamilton(X: Graph, rho: Perm, p: int,
     voltage.  A nonzero net voltage lifts to a Hamilton cycle because p
     is prime.
     """
-    return _lift(X, rho, p, budget)[0]
+    return _lift(X, decompose(X, rho, p), budget)[0]
 
 
-def _lift(X: Graph, rho: Perm, p: int,
+def _lift(X: Graph, dec: SemiregularDecomposition,
           budget: int) -> tuple[HamiltonCertificate | None, str]:
-    """``lift_hamilton`` with the outcome that ``analyze`` records: the
-    certificate with "found", or None with the proof that decided."""
-    dec = decompose(X, rho, p)
-    if voltages_are_coboundary(X, rho):
+    """``lift_hamilton`` on a decomposition whose rho is already known to
+    be an automorphism of X, with the outcome that ``analyze`` records:
+    the certificate with "found", or None with the proof that decided."""
+    if voltages_are_coboundary(X, dec.rho):
         return None, "no lift (voltages are a coboundary)"
     volt = voltage_assignment(X, dec)
-    # sorted voltages per directed quotient edge, built once per call
-    table = {(a, a): sorted(js) for a, js in volt.internal.items()}
-    for (a, b), js in volt.cross.items():
-        table[a, b] = sorted(js)
-        table[b, a] = sorted((-j) % p for j in js)
     if dec.m == 1:
         cycles = [(0,)]
     elif dec.m == 2:
-        cycles = [(0, 1)] if (0, 1) in volt.cross else []
+        cycles = [(0, 1)] if volt.voltages(0, 1) else []
     else:
         cycles = iter_hamilton_cycles(quotient_graph(dec, volt), budget)
     for cycle in cycles:
-        options = [table[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        options = [sorted(volt.voltages(a, b))
+                   for a, b in zip(cycle, cycle[1:] + cycle[:1])]
         for choice in islice(product(*options), 2):
-            if sum(choice) % p == 0:
+            if sum(choice) % dec.p == 0:
                 continue
             comps = lifted_components(dec, volt, cycle, choice)
             cert = HamiltonCertificate("cycle", comps[0])

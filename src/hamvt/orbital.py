@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 
-from .graphs import Graph
-from .perms import (NotTransitive, Perm, PermGroup, _index,
+from .graphs import Graph, _index
+from .perms import (NotTransitive, Perm, PermGroup,
                     stabilizer_from_transversal)
 
 

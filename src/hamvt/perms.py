@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import index
+
+from .graphs import _index
 
 #: Seed for the randomized search for semiregular elements.
 SEMIREGULAR_SEED = 1729
@@ -40,11 +41,16 @@ class GroupDegreeMismatch(ValueError):
     """A generator's degree differs from the group's or the graph's."""
 
 
-def _index(i) -> int:
-    """i as an int; floats and bools raise ``TypeError``."""
-    if isinstance(i, bool):
-        raise TypeError(f"{i!r} is not an index")
-    return index(i)
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 @dataclass(frozen=True)
@@ -233,6 +239,8 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators):
+        if degree < 0:
+            raise ValueError(f"group degree {degree} is negative")
         gens = [g if isinstance(g, Perm) else Perm.from_images(g)
                 for g in generators]
         for g in gens:
@@ -316,14 +324,11 @@ def stabilizer_from_transversal(G: PermGroup,
     return PermGroup(G.degree, schreier)
 
 
-def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
-    """Smallest block of G containing {a, b} (union-find refinement)."""
-    if not G.is_transitive():
-        raise NotTransitive("minimal_block requires a transitive group")
-    if a == b:
-        raise ValueError("need two distinct points")
-    n = G.degree
-    parent = list(range(n))
+def _block_classes(G: PermGroup, a: int, b: int) -> list[int]:
+    """Class of every point in the finest G-invariant partition that puts
+    a and b together (union-find refinement); a class is named by its
+    least point.  For a transitive G the classes are a block system."""
+    parent = list(range(G.degree))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -348,8 +353,17 @@ def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
             absorbed = union(g.images[q], g.images[r])
             if absorbed is not None:
                 queue.append(absorbed)
-    root = find(a)
-    return {x for x in range(n) if find(x) == root}
+    return [find(x) for x in range(G.degree)]
+
+
+def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
+    """Smallest block of G containing {a, b}."""
+    if not G.is_transitive():
+        raise NotTransitive("minimal_block requires a transitive group")
+    if a == b:
+        raise ValueError("need two distinct points")
+    cls = _block_classes(G, a, b)
+    return {x for x, c in enumerate(cls) if c == cls[a]}
 
 
 @dataclass(frozen=True)
@@ -358,22 +372,6 @@ class BlockSystem:
 
     cells: tuple[tuple[int, ...], ...]
     cell_size: int
-
-
-def _system_from_block(G: PermGroup, block: frozenset[int]) -> BlockSystem:
-    cells = {block}
-    frontier = [block]
-    for c in frontier:  # grows while it is walked: a FIFO queue
-        for g in G.generators:
-            img = frozenset(g.images[x] for x in c)
-            if img not in cells:
-                cells.add(img)
-                frontier.append(img)
-    sorted_cells = tuple(sorted(tuple(sorted(c)) for c in cells))
-    covered = sorted(x for c in sorted_cells for x in c)
-    if covered != list(range(G.degree)):
-        raise AssertionError("block orbit does not partition the points")
-    return BlockSystem(sorted_cells, len(block))
 
 
 def block_systems(G: PermGroup) -> list[BlockSystem]:
@@ -385,13 +383,17 @@ def block_systems(G: PermGroup) -> list[BlockSystem]:
     """
     if not G.is_transitive():
         raise NotTransitive("block_systems requires a transitive group")
-    n = G.degree
-    blocks: list[frozenset[int]] = []
-    for b in range(1, n):
-        blk = frozenset(minimal_block(G, 0, b))
-        if len(blk) < n and blk not in blocks:
-            blocks.append(blk)
-    return [_system_from_block(G, blk) for blk in blocks]
+    systems: dict[tuple[tuple[int, ...], ...], BlockSystem] = {}
+    for b in range(1, G.degree):
+        cells: dict[int, list[int]] = {}
+        for x, c in enumerate(_block_classes(G, 0, b)):
+            cells.setdefault(c, []).append(x)
+        if len(cells) > 1:
+            # each cell is ascending and named by its least point, so
+            # the cells come out sorted
+            key = tuple(tuple(c) for c in cells.values())
+            systems.setdefault(key, BlockSystem(key, len(key[0])))
+    return list(systems.values())
 
 
 def _semiregular_from(g: Perm, p: int) -> Perm | None:

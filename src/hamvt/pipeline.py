@@ -11,14 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, _index
 from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        contract_triangles, find_hamilton_cycle,
                        find_hamilton_path, verify_hamilton)
-from .lift import _lift
+from .lift import _decompose, _lift
 from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
                     SEMIREGULAR_WORDS, GroupDegreeMismatch, Perm, PermGroup,
-                    _index, find_semiregular)
+                    _prime_divisors, find_semiregular)
 
 
 class MalformedInput(ValueError):
@@ -59,20 +59,6 @@ class AnalysisReport:
         }
 
 
-def _primes(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_truncation_exception(X: Graph) -> bool:
     """Whether X is the truncated Petersen graph, under any labelling.
 
@@ -104,11 +90,9 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
              else PermGroup(X.n, group_gens))
         if G.degree != X.n:
             raise GroupDegreeMismatch(f"group degree {G.degree} != {X.n}")
-        for g in G.generators:
-            for u, w in X.edges():
-                if not X.has_edge(g.images[u], g.images[w]):
-                    raise GroupNotAutomorphisms(
-                        "a generator does not preserve the edge set")
+        if not all(X.preserved_by(g.images) for g in G.generators):
+            raise GroupNotAutomorphisms(
+                "a generator does not preserve the edge set")
 
     connected = X.is_connected()
     report = AnalysisReport(X.n, X.edge_count(), connected, None)
@@ -130,7 +114,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
     if G is not None:
         report.vertex_transitive = G.is_transitive()
         # largest p first: its quotient, with n/p cells, is the smallest
-        for p in reversed(_primes(X.n)):
+        for p in reversed(_prime_divisors(X.n)):
             rho = find_semiregular(G, p, seed=seed)
             if rho is None:
                 # find_semiregular scans every element up to the cap
@@ -144,7 +128,8 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                                  f"{SEMIREGULAR_WORDS} random words")})
                 continue
             try:
-                cert, outcome = _lift(X, rho, p, budget)
+                # rho is a word in the checked generators: no re-check
+                cert, outcome = _lift(X, _decompose(rho, p), budget)
             except BudgetExhausted:
                 cert, outcome = None, "budget exhausted"
             report.strategy_trace.append(
@@ -178,14 +163,9 @@ def graph_from_json(d: dict) -> Graph:
     """Ingest {"n": int, "edges": [[u, v], ...]} with validation; every
     number must be an integer (not a float or a bool)."""
     try:
-        n = _index(d["n"])
-        edges = [(_index(u), _index(v)) for u, v in d["edges"]]
+        return Graph.from_edges(d["n"], d["edges"])
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput(f"bad graph JSON: {e}") from None
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as e:
-        raise MalformedInput(str(e)) from None
 
 
 def parse_cycle_notation(s: str, degree: int) -> Perm:

@@ -60,6 +60,23 @@ def naive_minimal_block(degree: int, gens, a: int, b: int) -> set[int]:
     return best
 
 
+def naive_block_systems(degree: int, gens) -> list[tuple[tuple[int, ...], ...]]:
+    """Cells of the image orbit of each proper block
+    ``naive_minimal_block(degree, gens, 0, b)``, one entry per distinct
+    block, in order of the least b giving it; cells and points sorted."""
+    elems = naive_closure(degree, gens)
+    out = []
+    for b in range(1, degree):
+        B = naive_minimal_block(degree, gens, 0, b)
+        if len(B) == degree:
+            continue
+        cells = tuple(sorted({tuple(sorted(g.images[x] for x in B))
+                              for g in elems}))
+        if cells not in out:
+            out.append(cells)
+    return out
+
+
 def jackson_condition(X: Graph) -> bool:
     """Regular, 3 * valency >= n, and 2-connected: connected on at least
     three vertices, and still connected with any one vertex deleted."""

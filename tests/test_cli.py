@@ -177,6 +177,16 @@ class TestCommands:
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["orbital", "--selection", "1"],
+        ["analyze", "--catalog", "petersen"],
+    ], ids=["orbital", "analyze"])
+    def test_negative_group_degree(self, argv, tmp_path, capsys):
+        grp = tmp_path / "grp.json"
+        grp.write_text(json.dumps({"degree": -2, "generators": []}))
+        assert main(argv + ["--group", str(grp)]) == EXIT_INPUT
+        assert "degree -2 is negative" in capsys.readouterr().err
+
     def test_orbital(self, tmp_path, capsys):
         grp = tmp_path / "d5.json"
         grp.write_text(json.dumps(
@@ -263,6 +273,8 @@ class TestCommands:
         {"kind": "cycle", "sequence": 7},
         {"kind": "cycle", "sequence": [0, 1, "2", 3, 4, 5]},
         [0, 1, 2, 3, 4, 5],
+        {"kind": "cycle", "sequence": [0, 1, 2.0, 3, 4, 5]},
+        {"kind": "cycle", "sequence": [0, True, 2, 3, 4, 5]},
     ])
     def test_verify_malformed_certificate(self, cert, tmp_path, capsys):
         c = tmp_path / "c.json"

@@ -119,6 +119,16 @@ class TestFieldAxioms:
         for v in range(1, 16):
             assert exp[log[v]] == v
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_exp_table_steps_by_theta(self, k):
+        # the table is built by shifting; F.mul is the reference product
+        F = field_make(k)
+        exp, _ = F.tables()
+        assert len(exp) == F.q - 1 and exp[0] == 1
+        assert all(exp[i + 1] == F.mul(exp[i], F.theta)
+                   for i in range(len(exp) - 1))
+        assert F.mul(exp[-1], F.theta) == 1
+
 
 class TestSGroup:
     def test_quad_irreducible(self):

@@ -1,4 +1,7 @@
-"""Graph core: validation, connectivity, girth."""
+"""Graph core: validation, connectivity, girth, edge preservation."""
+
+import random
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +28,19 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [edge])
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0.7, 1), (1, 2.9)]),
+        (3, [(0, 1), (1, 2.0)]),
+        (3, [(True, 2)]),
+        (3, [(0, False)]),
+        (3.0, [(0, 1)]),
+        (True, []),
+    ], ids=["floats", "integral_float", "bool_u", "bool_v", "n_float",
+            "n_bool"])
+    def test_rejects_non_integer_endpoints(self, n, edges):
+        with pytest.raises(TypeError):
+            Graph.from_edges(n, edges)
+
     @pytest.mark.parametrize("adj", [[(1,), (0, 3), ()], [(-1, 1), (0,)],
                                      [(1, 1), (0, 0)], [(0, 1), (0,)]])
     def test_rejects_bad_rows(self, adj):
@@ -49,6 +65,36 @@ class TestGraph:
     def test_connectivity(self):
         assert cycle_graph(4).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
+
+
+def brute_preserved_by(X, images):
+    """Every edge of ``X.edges()`` maps to an edge."""
+    return all(X.has_edge(images[u], images[w]) for u, w in X.edges())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_preserved_by_matches_edge_loop(seed):
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = rng.sample(range(n), n)
+        # a random union of <g>-orbits on pairs, so g is an automorphism
+        edges = set()
+        for u, w in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                while (min(u, w), max(u, w)) not in edges:
+                    edges.add((min(u, w), max(u, w)))
+                    u, w = g[u], g[w]
+        X = Graph.from_edges(n, sorted(edges))
+        h = list(g)  # g with two images swapped: rarely an automorphism
+        i, j = rng.randrange(n), rng.randrange(n)
+        h[i], h[j] = h[j], h[i]
+        for images in (g, h, rng.sample(range(n), n)):
+            want = brute_preserved_by(X, images)
+            assert X.preserved_by(tuple(images)) is want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_semiregular_orbit_partition_always_equitable():

@@ -57,7 +57,8 @@ class TestVoltages:
             X = catalog(f"circulant:{n}:{','.join(map(str, steps))}")
             dec = decompose(X, shift(n, n // p), p)
             volt = voltage_assignment(X, dec)
-            for (a, b) in volt.cross:
+            pairs = list(volt.cross) + [(a, a) for a in range(dec.m)]
+            for (a, b) in pairs:
                 fwd = volt.voltages(a, b)
                 back = volt.voltages(b, a)
                 assert back == {(-j) % p for j in fwd}

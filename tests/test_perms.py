@@ -12,8 +12,8 @@ from hamvt import (GroupDegreeMismatch, MalformedInput, NotTransitive, Perm,
                    point_stabilizer)
 from hamvt.perms import _min_coset_rep
 from hamvt.pipeline import parse_cycle_notation
-from oracles import (brute_semiregular, enumerated_coset_key, naive_closure,
-                     naive_minimal_block)
+from oracles import (brute_semiregular, enumerated_coset_key,
+                     naive_block_systems, naive_closure, naive_minimal_block)
 
 
 def perm_st(n):
@@ -353,6 +353,23 @@ def _oracle_groups():
 
 
 ORACLE_GROUPS = _oracle_groups()
+
+
+class TestBlockSystemsOracle:
+    """``block_systems`` against the image orbits of subset-oracle blocks."""
+
+    @pytest.mark.parametrize("name", [name for name, (n, _) in
+                                      ORACLE_GROUPS.items() if n <= 14])
+    def test_matches_image_orbits(self, name):
+        n, gens = ORACLE_GROUPS[name]
+        G = PermGroup(n, gens)
+        if not G.is_transitive():
+            with pytest.raises(NotTransitive):
+                block_systems(G)
+            return
+        systems = block_systems(G)
+        assert [s.cells for s in systems] == naive_block_systems(n, gens)
+        assert all(s.cell_size == len(s.cells[0]) for s in systems)
 
 
 class TestSemiregularOracle:

@@ -169,6 +169,33 @@ class TestAnalyze:
         assert attempts
         assert len(calls) == len(attempts)
 
+    @pytest.mark.parametrize("name", ["crown:7", "km_c3", "PSL(2,16)/51"])
+    def test_edge_check_once_per_generator(self, name, monkeypatch):
+        # the lifts use words in the checked generators: no re-check
+        if name == "km_c3":
+            X, rho = km_c3(10)
+            G = PermGroup(X.n, [rho])
+        elif name == "crown:7":
+            X = catalog(name)
+            G = PermGroup(X.n, catalog_gens(name))
+        else:
+            G, graphs = psl2_16_orbital_graphs()
+            X = graphs[0]
+        orig = Graph.preserved_by
+        calls = []
+
+        def counted(self, images):
+            calls.append(images)
+            return orig(self, images)
+
+        monkeypatch.setattr(Graph, "preserved_by", counted)
+        rep = analyze(X, G)
+        attempts = [s for s in rep.strategy_trace
+                    if s["strategy"].startswith("lift")
+                    and not s["outcome"].startswith("no semiregular")]
+        assert attempts
+        assert calls == [g.images for g in G.generators]
+
     def test_semiregular_absence_proved(self):
         rep = analyze(catalog("petersen"), catalog_gens("petersen"))
         outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
@@ -328,6 +355,12 @@ class TestIngest:
             graph_from_json({"edges": []})
         with pytest.raises(MalformedInput):
             graph_from_json({"n": 3, "edges": [[0, 1], [1, 0]]})
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="degree -2 is negative"):
+            group_from_json({"degree": -2, "generators": []})
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            PermGroup(-1, [])
 
     def test_group_json(self):
         gens = group_from_json(
