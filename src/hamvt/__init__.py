@@ -21,6 +21,7 @@ from .pipeline import (AnalysisReport, GroupDegreeMismatch,
                        graph_from_json, group_from_json)
 from .products import (BadBaseCycle, BadParams, GcdNotOne, NotCubic,
                        ProductModel, UnknownName, catalog, catalog_gens,
-                       truncate_cubic, truncation_lift, y1_cycle, y2_cycle)
+                       cayley, truncate_cubic, truncation_lift, y1_cycle,
+                       y2_cycle)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -67,13 +67,3 @@ def s6_on_s4_cosets() -> CosetAction:
     """Degree-30 transitive action of S_6 on cosets of S_4 (order 720)."""
     G = PermGroup(6, s6_gens())
     return coset_action(G, s4_in_s6_gens())
-
-
-def dihedral_gens(n: int) -> list[Perm]:
-    rot = Perm(tuple((i + 1) % n for i in range(n)))
-    ref = Perm(tuple((-i) % n for i in range(n)))
-    return [rot, ref]
-
-
-def cyclic_gens(n: int) -> list[Perm]:
-    return [Perm(tuple((i + 1) % n for i in range(n)))]

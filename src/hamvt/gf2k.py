@@ -262,6 +262,11 @@ def _check_s_group(F: GF2k, m: int, S: list[SMatrix]) -> None:
 
 
 def s_matrix_order(F: GF2k, m: int, s: SMatrix) -> int:
+    """Order of s(a, b), by stepping through its powers; ``ValueError``
+    when it is singular (a^2 + ab*theta^m + b^2 = 0), as no power is 1."""
+    a, b = s.a, s.b
+    if F.mul(a, a) ^ F.mul(F.mul(a, b), F.theta_pow(m)) ^ F.mul(b, b) == 0:
+        raise ValueError(f"{s} is singular")
     ident = SMatrix(1, 0)
     o = 1
     x = s

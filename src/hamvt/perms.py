@@ -239,6 +239,7 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators):
+        degree = _index(degree)
         if degree < 0:
             raise ValueError(f"group degree {degree} is negative")
         gens = [g if isinstance(g, Perm) else Perm.from_images(g)
@@ -358,6 +359,9 @@ def _block_classes(G: PermGroup, a: int, b: int) -> list[int]:
 
 def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
     """Smallest block of G containing {a, b}."""
+    for x in (a, b):
+        if not 0 <= x < G.degree:
+            raise ValueError(f"point {x} is not in 0..{G.degree - 1}")
     if not G.is_transitive():
         raise NotTransitive("minimal_block requires a transitive group")
     if a == b:

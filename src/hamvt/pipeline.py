@@ -169,17 +169,20 @@ def graph_from_json(d: dict) -> Graph:
 
 
 def parse_cycle_notation(s: str, degree: int) -> Perm:
-    """Parse "(0 1 2)(3 4)" into a permutation of the given degree."""
+    """Parse disjoint cycles such as "(0 1 2)(3 4)" into a permutation of
+    the given degree; a point repeated anywhere is ``MalformedInput``."""
     images = list(range(degree))
     body = s.strip()
     if body in ("", "()"):
         return Perm(tuple(images))
     if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", body):
         raise MalformedInput(f"bad cycle notation: {s!r}")
+    seen: set[int] = set()
     for cyc in re.findall(r"\(([^()]*)\)", body):
         pts = [int(x) for x in re.split(r"[\s,]+", cyc.strip()) if x]
-        if len(set(pts)) != len(pts):
-            raise MalformedInput(f"repeated point in cycle {cyc!r}")
+        if len(set(pts)) != len(pts) or not seen.isdisjoint(pts):
+            raise MalformedInput(f"repeated point in {s!r}")
+        seen.update(pts)
         if any(not 0 <= x < degree for x in pts):
             raise MalformedInput("cycle point out of range")
         for i, x in enumerate(pts):

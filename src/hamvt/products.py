@@ -8,6 +8,9 @@ Hamilton cycle of X:
 
 The constructions return explicit vertex sequences and are validated
 against the model adjacency, never trusted.
+
+Each catalog family has one builder that returns the graph together with
+its automorphism generators; the Cayley families come from ``cayley``.
 """
 
 from __future__ import annotations
@@ -159,132 +162,80 @@ def truncation_lift(X: Graph, g: Perm) -> Perm:
 # catalog
 
 
-def _petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+def cayley(n: int, mul, S, elements=()) -> tuple[Graph, list[Perm]]:
+    """Cay(G, S) for the group G on 0..n-1 with product ``mul``, and the
+    left-regular automorphisms x -> g*x for each g in ``elements``.
+
+    The graph joins x to x*s for every s in S, symmetrised; ``Graph``
+    refuses the loop of an S containing the identity and a product out
+    of range, ``Perm`` a left translation that is not a bijection.
+    """
+    edges = {(x, y) if x < y else (y, x)
+             for x in range(n) for s in S for y in [mul(x, s)]}
+    return (Graph.from_edges(n, edges),
+            [Perm(tuple(mul(g, x) for x in range(n))) for g in elements])
 
 
-#: Petersen vertices as 2-subsets of {0..4} (disjointness = adjacency):
-#: outer i = {2i, 2i+1}, inner i = {2i+2, 2i+4}, all mod 5.
-_PETERSEN_SUBSETS = (
-    [frozenset({(2 * i) % 5, (2 * i + 1) % 5}) for i in range(5)]
-    + [frozenset({(2 * i + 2) % 5, (2 * i + 4) % 5}) for i in range(5)]
-)
+def _cyclic(n: int):
+    return lambda a, b: (a + b) % n
 
 
-def _petersen_gens() -> list[Perm]:
-    lookup = {s: v for v, s in enumerate(_PETERSEN_SUBSETS)}
-    out = []
-    for sigma in ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)):  # (0 1 2 3 4), (0 1)
-        out.append(Perm(tuple(
-            lookup[frozenset(sigma[x] for x in s)]
-            for s in _PETERSEN_SUBSETS)))
-    return out
+def _z2_product(m: int, dihedral: bool):
+    """Z_m x Z_2 (or D_m when ``dihedral``) on i + m*e for r^i s^e."""
+    def mul(a, b):
+        (e, i), (f, j) = divmod(a, m), divmod(b, m)
+        return (i - j if dihedral and e else i + j) % m + m * (e ^ f)
+    return mul
 
 
-def _coxeter() -> Graph:
-    # heptagons with steps 1, 2, 3, plus seven hubs
+def _petersen():
+    # vertices are 2-subsets of {0..4}, adjacent when disjoint: outer
+    # i = {2i, 2i+1}, inner i = {2i+2, 2i+4}, all mod 5
+    subsets = ([frozenset({2 * i % 5, (2 * i + 1) % 5}) for i in range(5)]
+               + [frozenset({(2 * i + 2) % 5, (2 * i + 4) % 5})
+                  for i in range(5)])
+    lookup = {s: v for v, s in enumerate(subsets)}
+    X = Graph.from_edges(10, [(u, v) for u in range(10) for v in range(u)
+                              if not subsets[u] & subsets[v]])
+    # the permutations (0 1 2 3 4) and (0 1) of {0..4}
+    return X, [Perm(tuple(lookup[frozenset(sigma[x] for x in s)]
+                          for s in subsets))
+               for sigma in ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))]
+
+
+def _coxeter():
+    # heptagons u, v, w with steps 1, 2, 3, plus seven hubs z; the
+    # generators rotate all four and multiply by 2 while cycling u, v, w
     u, v, w, z = 0, 7, 14, 21
     edges = []
+    rot = [0] * 28
+    dbl = [0] * 28
     for i in range(7):
         edges += [(u + i, u + (i + 1) % 7),
                   (v + i, v + (i + 2) % 7),
                   (w + i, w + (i + 3) % 7),
                   (z + i, u + i), (z + i, v + i), (z + i, w + i)]
-    return Graph.from_edges(28, edges)
-
-
-def _coxeter_gens() -> list[Perm]:
-    u, v, w, z = 0, 7, 14, 21
-    rot = [0] * 28
-    dbl = [0] * 28
-    for i in range(7):
         for base in (u, v, w, z):
             rot[base + i] = base + (i + 1) % 7
         dbl[u + i] = v + (2 * i) % 7
         dbl[v + i] = w + (2 * i) % 7
         dbl[w + i] = u + (2 * i) % 7
         dbl[z + i] = z + (2 * i) % 7
-    return [Perm(tuple(rot)), Perm(tuple(dbl))]
+    return Graph.from_edges(28, edges), [Perm(tuple(rot)), Perm(tuple(dbl))]
 
 
-def _heawood_edges(incident: bool) -> Graph:
-    # points 0..6, lines 7+i = {i, i+1, i+3} mod 7
-    edges = []
-    for i in range(7):
-        line = {i % 7, (i + 1) % 7, (i + 3) % 7}
-        for pnt in range(7):
-            if (pnt in line) == incident:
-                edges.append((pnt, 7 + i))
-    return Graph.from_edges(14, edges)
+def _truncated(X: Graph, gens: list[Perm]):
+    return truncate_cubic(X), [truncation_lift(X, g) for g in gens]
 
 
-def _heawood_gens() -> list[Perm]:
-    rot = [(i + 1) % 7 for i in range(7)] + [7 + (i + 1) % 7 for i in range(7)]
-    dual = [7 + (-i) % 7 for i in range(7)] + [(-i) % 7 for i in range(7)]
-    return [Perm(tuple(rot)), Perm(tuple(dual))]
-
-
-def _crown(p: int) -> Graph:
-    return Graph.from_edges(
-        2 * p, [(i, p + j) for i in range(p) for j in range(p) if i != j])
-
-
-def _crown_gens(p: int) -> list[Perm]:
-    rot = [(i + 1) % p for i in range(p)] + [p + (i + 1) % p for i in range(p)]
-    swap = [p + i for i in range(p)] + list(range(p))
-    return [Perm(tuple(rot)), Perm(tuple(swap))]
-
-
-def _circulant(n: int, steps) -> Graph:
-    edges = set()
-    for i in range(n):
-        for s in steps:
-            edges.add((min(i, (i + s) % n), max(i, (i + s) % n)))
-    return Graph.from_edges(n, sorted(edges))
-
-
-def _rotation(n: int) -> Perm:
-    return Perm(tuple((i + 1) % n for i in range(n)))
-
-
-def _prism(t: int) -> Graph:
-    edges = [(i, (i + 1) % t) for i in range(t)]
-    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
-    edges += [(i, t + i) for i in range(t)]
-    return Graph.from_edges(2 * t, edges)
-
-
-def _prism_gens(t: int) -> list[Perm]:
-    rot = [(i + 1) % t for i in range(t)] + [t + (i + 1) % t for i in range(t)]
-    swap = [t + i for i in range(t)] + list(range(t))
-    return [Perm(tuple(rot)), Perm(tuple(swap))]
-
-
-def _complete(n: int) -> Graph:
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def _complete_gens(n: int) -> list[Perm]:
-    if n == 1:
-        return [Perm.identity(1)]
-    gens = [_rotation(n)]
+def _complete(n: int):
+    X, gens = cayley(n, _cyclic(n), range(1, n), [1])
     if n > 2:
-        sw = list(range(n))
-        sw[0], sw[1] = 1, 0
-        gens.append(Perm(tuple(sw)))
-    return gens
+        gens.append(Perm((1, 0, *range(2, n))))
+    return X, gens
 
 
-def _complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(
-        a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def _complete_bipartite_gens(a: int, b: int) -> list[Perm]:
+def _complete_bipartite(a: int, b: int):
     gens = []
     if a > 1:
         gens.append(Perm(tuple([(i + 1) % a for i in range(a)]
@@ -294,27 +245,33 @@ def _complete_bipartite_gens(a: int, b: int) -> list[Perm]:
                                + [a + (i + 1) % b for i in range(b)])))
     if a == b:
         gens.append(Perm(tuple([a + i for i in range(a)] + list(range(a)))))
-    return gens or [Perm.identity(a + b)]
+    return (Graph.from_edges(a + b, [(i, a + j) for i in range(a)
+                                     for j in range(b)]),
+            gens or [Perm.identity(a + b)])
 
 
-#: name -> (graph builder, automorphism generators), both taking the
-#: parameters that ``_spec`` returns.
+#: name -> builder of (graph, automorphism generators), taking the
+#: parameters that ``_spec`` returns.  circulant and complete are Cayley
+#: graphs of Z_n, prism and crown of Z_t x Z_2, heawood and
+#: non_incidence_pg22 of D_7, with r^i s^e labelled i + m*e and the
+#: generators r and s acting on the left.  Point r^i of the Fano plane
+#: lies on the line r^j s = {j, j+1, j+3} iff j - i is 0, -1 or -3, so
+#: heawood's S is {s, r^6 s, r^4 s}; the other reflections give the
+#: non-incidence graph.
 _CATALOG = {
-    "petersen": (_petersen, _petersen_gens),
-    "coxeter": (_coxeter, _coxeter_gens),
-    "truncated_petersen": (
-        lambda: truncate_cubic(_petersen()),
-        lambda: [truncation_lift(_petersen(), g) for g in _petersen_gens()]),
-    "truncated_coxeter": (
-        lambda: truncate_cubic(_coxeter()),
-        lambda: [truncation_lift(_coxeter(), g) for g in _coxeter_gens()]),
-    "heawood": (lambda: _heawood_edges(True), _heawood_gens),
-    "non_incidence_pg22": (lambda: _heawood_edges(False), _heawood_gens),
-    "crown": (_crown, _crown_gens),
-    "circulant": (_circulant, lambda n, steps: [_rotation(n)]),
-    "prism": (_prism, _prism_gens),
-    "complete": (_complete, _complete_gens),
-    "complete_bipartite": (_complete_bipartite, _complete_bipartite_gens),
+    "petersen": _petersen,
+    "coxeter": _coxeter,
+    "truncated_petersen": lambda: _truncated(*_petersen()),
+    "truncated_coxeter": lambda: _truncated(*_coxeter()),
+    "heawood": lambda: cayley(14, _z2_product(7, True), (7, 11, 13), (1, 7)),
+    "non_incidence_pg22": lambda: cayley(14, _z2_product(7, True),
+                                         (8, 9, 10, 12), (1, 7)),
+    "crown": lambda p: cayley(2 * p, _z2_product(p, False),
+                              range(p + 1, 2 * p), (1, p)),
+    "circulant": lambda n, steps: cayley(n, _cyclic(n), steps, [1]),
+    "prism": lambda t: cayley(2 * t, _z2_product(t, False), (1, t), (1, t)),
+    "complete": _complete,
+    "complete_bipartite": _complete_bipartite,
 }
 #: Least value of each integer parameter of the parametrized entries.
 _MINIMA = {"crown": (2,), "prism": (3,), "complete": (1,),
@@ -358,13 +315,13 @@ def _spec(name: str) -> tuple[str, tuple]:
 
 
 def catalog(name: str) -> Graph:
-    """Named graph under a fixed labeling (see module docstring).
+    """Named graph under a fixed labeling (see ``_CATALOG``).
 
     Parameters ride along in the name: ``crown:5``, ``circulant:30:1,6``,
     ``prism:7``, ``complete:5``, ``complete_bipartite:3:3``.
     """
     base, params = _spec(name)
-    return _CATALOG[base][0](*params)
+    return _CATALOG[base](*params)[0]
 
 
 def catalog_gens(name: str) -> list[Perm]:
@@ -376,4 +333,4 @@ def catalog_gens(name: str) -> list[Perm]:
     are validated as in ``catalog``.
     """
     base, params = _spec(name)
-    return _CATALOG[base][1](*params)
+    return _CATALOG[base](*params)[1]

@@ -32,6 +32,13 @@ class TestCycleNotation:
         with pytest.raises(MalformedInput):
             parse_cycle_notation("(0 7)", 3)
 
+    @pytest.mark.parametrize("text", ["(0 1 2)(0 2 1)", "(0 1)(1 2)",
+                                      "(0 1)(2 3)(3 0)", "(0 1)(1 0)"])
+    def test_point_in_two_cycles(self, text):
+        # read as a product, "(0 1 2)(0 2 1)" is the identity, not (0 2 1)
+        with pytest.raises(MalformedInput, match="repeated point"):
+            parse_cycle_notation(text, 4)
+
 
 def write_graph(path, X):
     path.write_text(json.dumps(
@@ -176,6 +183,17 @@ class TestCommands:
             argv += ["--group", str(grp)]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["orbital", "--selection", "1"],
+        ["analyze", "--catalog", "petersen"],
+    ], ids=["orbital", "analyze"])
+    def test_point_in_two_cycles(self, argv, tmp_path, capsys):
+        grp = tmp_path / "grp.json"
+        grp.write_text(json.dumps(
+            {"degree": 10, "generators": ["(0 1 2 3 4)(0 4 3 2 1)"]}))
+        assert main(argv + ["--group", str(grp)]) == EXIT_INPUT
+        assert "repeated point" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["orbital", "--selection", "1"],

@@ -1,9 +1,8 @@
 """Bundled fixtures satisfy their provenance assertions."""
 
 from hamvt import PermGroup, catalog, catalog_gens
-from hamvt.fixtures import (INFINITY, cyclic_gens, dihedral_gens,
-                            moebius_perm, psl2_16_gens, psl2_16_h_gens,
-                            s6_on_s4_cosets)
+from hamvt.fixtures import (INFINITY, moebius_perm, psl2_16_gens,
+                            psl2_16_h_gens, s6_on_s4_cosets)
 
 
 class TestPsl216:
@@ -63,7 +62,3 @@ class TestInventory:
     def test_petersen_aut(self):
         gens = catalog_gens("petersen")
         assert PermGroup(10, gens).order() == 120
-
-    def test_dihedral_and_cyclic(self):
-        assert PermGroup(7, dihedral_gens(7)).order() == 14
-        assert PermGroup(9, cyclic_gens(9)).order() == 9

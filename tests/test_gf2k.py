@@ -1,5 +1,6 @@
 """Field arithmetic, the order-(q+1) group S, and point counting."""
 
+import itertools
 import random
 import tracemalloc
 from functools import partial
@@ -162,6 +163,18 @@ class TestSGroup:
         assert found is not None
         with pytest.raises(ReducibleQuadratic):
             s_group(F16, found)
+
+    def test_order_of_singular_matrix(self):
+        # s(a, b) is singular iff b = 0 = a or a/b is a root of
+        # x^2 + theta^m x + 1; its powers never reach the identity
+        with pytest.raises(ValueError, match="singular"):
+            s_matrix_order(F16, quad_irreducible_m(F16), SMatrix(0, 0))
+        roots = [(m, x) for m in range(15) for x in range(16)
+                 if F16.mul(x, x) ^ F16.mul(F16.theta_pow(m), x) ^ 1 == 0]
+        assert roots
+        for (m, r), b in itertools.product(roots, (1, 5)):
+            with pytest.raises(ValueError, match="singular"):
+                s_matrix_order(F16, m, SMatrix(F16.mul(r, b), b))
 
     def test_closure_full(self):
         m = quad_irreducible_m(F16)

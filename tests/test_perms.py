@@ -258,6 +258,13 @@ class TestBlocks:
         Z5 = PermGroup(5, [Perm((1, 2, 3, 4, 0))])
         assert minimal_block(Z5, 0, 1) == {0, 1, 2, 3, 4}
 
+    @pytest.mark.parametrize("a, b", [(0, -1), (0, 9), (-6, 0), (6, 1)])
+    def test_points_out_of_range(self, a, b):
+        Z6 = PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])
+        bad = a if not 0 <= a < 6 else b
+        with pytest.raises(ValueError, match=f"point {bad} is not in 0..5"):
+            minimal_block(Z6, a, b)
+
     def test_requires_transitive(self):
         with pytest.raises(NotTransitive):
             minimal_block(PermGroup(4, [Perm((1, 0, 2, 3))]), 0, 2)

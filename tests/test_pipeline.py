@@ -362,6 +362,11 @@ class TestIngest:
         with pytest.raises(ValueError, match="degree -1 is negative"):
             PermGroup(-1, [])
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0, True, False])
+    def test_non_integer_degree(self, degree):
+        with pytest.raises(TypeError):
+            PermGroup(degree, [])
+
     def test_group_json(self):
         gens = group_from_json(
             {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}).generators

@@ -1,12 +1,14 @@
-"""Product-model cycles, truncation, and the catalog."""
+"""Product-model cycles, truncation, Cayley graphs and the catalog."""
 
+import hashlib
+import json
 from math import gcd
 
 import pytest
 
 from hamvt import (BadBaseCycle, BadParams, GcdNotOne, Graph, NotCubic,
                    PermGroup, ProductModel, UnknownName, catalog,
-                   catalog_gens, truncate_cubic, truncation_lift,
+                   catalog_gens, cayley, truncate_cubic, truncation_lift,
                    verify_hamilton, y1_cycle, y2_cycle)
 
 
@@ -180,3 +182,77 @@ class TestCatalog:
 
     def test_petersen_group_order(self):
         assert PermGroup(10, catalog_gens("petersen")).order() == 120
+
+
+def dihedral(m):
+    """D_m on i + m*e for r^i s^e, where s r s = r^-1."""
+    def mul(x, y):
+        (e, i), (f, j) = divmod(x, m), divmod(y, m)
+        return (i + (-1) ** e * j) % m + m * ((e + f) % 2)
+    return mul
+
+
+def cyclic_by_z2(t):
+    """Z_t x Z_2 on i + t*e."""
+    return lambda x, y: (x + y) % t + t * ((x // t + y // t) % 2)
+
+
+#: (n, product, the generators r and s, connection sets)
+CAYLEY_CASES = (
+    [(f"D_{m}", 2 * m, dihedral(m), (1, m),
+      [(1, m), (m, m + 1), (1, 2, m + 1), (m, m + 2, 2 * m - 1)])
+     for m in range(3, 10)]
+    + [(f"Z_{t}xZ_2", 2 * t, cyclic_by_z2(t), (1, t),
+        [(1, t), (t + 1,), (2, t, t + 1), (1, 2 * t - 1)])
+       for t in range(3, 10)])
+
+
+class TestCayley:
+    @pytest.mark.parametrize("name, n, mul, gens, sets", CAYLEY_CASES,
+                             ids=[c[0] for c in CAYLEY_CASES])
+    def test_left_regular_automorphisms(self, name, n, mul, gens, sets):
+        inverse = {x: next(y for y in range(n) if mul(x, y) == 0)
+                   for x in range(n)}
+        for S in sets:
+            X, perms = cayley(n, mul, S, gens)
+            for x in range(n):
+                assert set(X.adj[x]) == {mul(x, t) for s in S
+                                         for t in (s, inverse[s])}
+            assert all(X.preserved_by(g.images) for g in perms)
+            G = PermGroup(n, perms)
+            assert G.order() == n and G.is_transitive()  # regular
+
+    @pytest.mark.parametrize("name, n, mul, gens, sets", CAYLEY_CASES,
+                             ids=[c[0] for c in CAYLEY_CASES])
+    def test_identity_in_connection_set_refused(self, name, n, mul, gens,
+                                                sets):
+        with pytest.raises(ValueError, match="loops"):
+            cayley(n, mul, (1, 0), gens)
+
+    def test_product_out_of_range_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
+            cayley(5, lambda a, b: a + b, (1,))
+
+
+#: Leading hex digits of the sha256 of the JSON of [adjacency rows,
+#: generator images].  The bench inputs and the node counts pinned in
+#: tests/test_hamilton.py depend on these labellings, so a change to a
+#: catalog builder must keep them.
+LABELLING_DIGESTS = {
+    "heawood": "e46418254f5f8d1d",
+    "non_incidence_pg22": "4331e0ef6a5d1af6",
+    "crown:7": "e4a33160824bc902",
+    "prism:7": "a06301e9deb4dc23",
+    "prism:20": "649cba9506b8f69b",
+    "circulant:30:1,6": "b8ed582dffc99b14",
+    "circulant:60:1,6": "e2680efe1369d281",
+    "complete:5": "b046921779b8b677",
+}
+
+
+@pytest.mark.parametrize("name", LABELLING_DIGESTS)
+def test_catalog_labelling_pinned(name):
+    data = json.dumps([catalog(name).adj,
+                       [g.images for g in catalog_gens(name)]])
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    assert digest[:16] == LABELLING_DIGESTS[name]
