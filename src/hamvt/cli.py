@@ -46,7 +46,7 @@ def _load_graph(args) -> Graph:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as f:
             f.write(text + "\n")

@@ -14,6 +14,7 @@ from math import isqrt
 
 import numpy as np
 
+from .graphs import _index
 from .perms import _prime_divisors
 
 
@@ -284,10 +285,12 @@ def count_eq2(F: GF2k, m: int, c: int, require_y_nonzero: bool = False) -> int:
     single root a = 1.  For y != 0, a = Bz turns it into z^2 + z = C/B^2,
     which has two roots when Tr(C/B^2) = 0 and none when it is 1.  The
     q - 1 nonzero y are handled at once in log space: O(q) time and
-    memory.
+    memory.  c = 0 raises ``ZeroC``, any other c outside 1..q-1 ``ValueError``.
     """
-    if c == 0:
+    if (c := _index(c)) == 0:
         raise ZeroC("c must be nonzero")
+    if not 0 < c < F.q:
+        raise ValueError(f"c={c} outside 1..{F.q - 1}")
     q1 = F.q - 1
     exp, log, trace = _tables(F)
     ly = np.arange(q1, dtype=np.int64)  # y = theta^ly

@@ -2,10 +2,10 @@
 
 Sign convention: traversing a quotient edge from cell A to cell B with
 voltage j asserts rep(A) ~ rep(B)^(rho^j), so the reverse traversal has
-voltage -j.  ``voltage_assignment`` applies this rule, once per edge of
-X, and every reader looks the directed pair up.  The net voltage around
-a quotient cycle decides the lift dichotomy: nonzero mod p lifts to a
-single kp-cycle, zero to p vertex-disjoint k-cycles.
+voltage -j.  As rho preserves X, ``voltage_assignment`` reads every
+voltage off the cell representatives' rows; readers look up the directed
+pair.  The net voltage around a quotient cycle decides the lift
+dichotomy: nonzero mod p lifts to one kp-cycle, zero to p disjoint k-cycles.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ def _decompose(rho: Perm, p: int) -> SemiregularDecomposition:
 
 def voltage_assignment(X: Graph,
                        dec: SemiregularDecomposition) -> VoltageAssignment:
-    """All voltages realized by edges of X between and within cells."""
+    """All voltages realized by edges of X between and within cells, read
+    off the m representatives' rows; dec.rho must preserve X."""
     table: dict[tuple[int, int], set[int]] = {}
-    for u, w in X.edges():
-        a, i = dec.position[u]
-        b, j = dec.position[w]
-        # shift u back to rep(a): rep(a) ~ w^(rho^-i) = rep(b)^(rho^(j-i))
-        table.setdefault((a, b), set()).add((j - i) % dec.p)
-        table.setdefault((b, a), set()).add((i - j) % dec.p)
+    for a, cell in enumerate(dec.cells):
+        for w in X.adj[cell[0]]:
+            b, j = dec.position[w]  # rep(a) ~ w = rep(b)^(rho^j)
+            table.setdefault((a, b), set()).add(j)
     return VoltageAssignment(dec.p,
                              {k: frozenset(v) for k, v in table.items()})
 

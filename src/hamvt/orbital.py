@@ -3,22 +3,20 @@
 A suborbit table is computed once per group object and point, and held
 in a ``weakref.WeakKeyDictionary`` keyed by the group's identity, so an
 entry lives exactly as long as its group.  Tables are shared between
-callers and read-only: their fields are tuples and a mapping proxy.
-An orbital graph moves the row of the base along the table's
-transversal to every other point, in O(n * |targets|) with no edge set;
+callers and read-only: their fields are tuples.  An orbital graph
+carries the row of the base along one breadth-first walk, row(x^s) =
+row(x)^s, in O(n * |targets|) with no edge set and no transversal;
 ``Graph``'s checks still run on the rows.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from types import MappingProxyType
 
 from .graphs import Graph, _index
-from .perms import (NotTransitive, Perm, PermGroup,
+from .perms import (NotTransitive, PermGroup, _walk,
                     stabilizer_from_transversal)
 
 
@@ -32,14 +30,12 @@ class SuborbitTable:
 
     Suborbits are sorted by (length, minimum element); ``pairing[i]`` is
     the index of the suborbit paired with suborbit i (itself when
-    self-paired).  ``transversal[u]`` maps the base to u; orbital graphs
-    transport their adjacency along it.
+    self-paired).
     """
 
     base: int
     suborbits: tuple[tuple[int, ...], ...]
     pairing: tuple[int, ...]
-    transversal: Mapping[int, Perm] = field(compare=False, repr=False)
 
     def index_of(self, w: int) -> int:
         for i, s in enumerate(self.suborbits):
@@ -62,15 +58,15 @@ def suborbits(G: PermGroup, v: int) -> SuborbitTable:
     """Suborbit table at v: orbits of G_v, paired via inverse transport.
 
     Memoized per group object and point: a repeated call returns the
-    same read-only table.
+    same read-only table.  The transversal from v is not kept.
     """
     v = _index(v)
     memo = _TABLES.get(G)
     if memo is not None and v in memo:
         return memo[v]
-    if not G.is_transitive():
-        raise NotTransitive("suborbits require a transitive group")
     trans = G.transversal_from(v)
+    if len(trans) != G.degree:
+        raise NotTransitive("suborbits require a transitive group")
     stab = stabilizer_from_transversal(G, trans)
     subs = tuple(sorted((tuple(o) for o in stab.orbits()),
                         key=lambda s: (len(s), s[0])))
@@ -80,7 +76,7 @@ def suborbits(G: PermGroup, v: int) -> SuborbitTable:
             lookup[w] = i
     # suborbit of w pairs with the suborbit of v^(g^-1) where v^g = w
     pairing = tuple(lookup[trans[s[0]].inv().images[v]] for s in subs)
-    table = SuborbitTable(v, subs, pairing, MappingProxyType(trans))
+    table = SuborbitTable(v, subs, pairing)
     for i, j in enumerate(table.pairing):
         if table.pairing[j] != i:
             raise AssertionError("pairing is not an involution")
@@ -102,10 +98,10 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
 
     Selections not closed under pairing are closed automatically and
     flagged.  A pair-closed selection gives a G-invariant graph, so the
-    neighbours of u = v^t are the targets moved by t: each row is read
-    off the BFS transversal of the memoized suborbit table at v, at a
-    cost of O(n * |targets|), and ``Graph``'s checks (no loops,
-    duplicates or asymmetry) still run on the rows.  Each index goes
+    row of x^s is the row of x moved by s: one breadth-first walk from v
+    carries the targets to every point, at a cost of O(n * |targets|),
+    and ``Graph``'s checks (no loops, duplicates or asymmetry) still run
+    on the rows.  Each index goes
     through ``operator.index`` after the table is built, so a bad point
     is reported before a bad index.
     """
@@ -123,9 +119,9 @@ def orbital_graph(G: PermGroup, v: int, selection) -> OrbitalGraph:
         closed.add(table.pairing[i])
     symmetrized = closed != sel
     targets = [w for i in closed for w in table.suborbits[i]]
-    trans = table.transversal
-    X = Graph(G.degree, ([trans[u].images[w] for w in targets]
-                         for u in range(G.degree)))
+    rows = dict(_walk(G.generators, table.base, targets,
+                      lambda row, s: [s.images[w] for w in row]))
+    X = Graph(G.degree, map(rows.__getitem__, range(G.degree)))
     return OrbitalGraph(X, X.is_connected(), symmetrized,
                         tuple(sorted(closed)), table)
 

@@ -7,14 +7,15 @@ point ``i`` under ``g`` is ``g.images[i]``, and ``(g * h)`` means "apply
 inverses, identities and coset-action images are bijections by
 construction and skip the check.  Groups carry a deterministic
 stabilizer chain with base 0, 1, 2, ..., n-1, built once on first use by
-one Schreier-Sims pass that sifts each Schreier generator once.  Point
-stabilizers come from Schreier generators of a breadth-first
-transversal, no chain, whose elements the semiregular search tries first.
+one Schreier-Sims pass that sifts each Schreier generator once.  Orbits,
+transversals and the semiregular search's first words come from one
+breadth-first walk, ``_walk``; point stabilizers need no chain.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -141,17 +142,21 @@ class Perm:
         return lcm(1, *(len(c) for c in self.cycles()))
 
 
-def _transversal(degree: int, gens, v: int) -> dict[int, Perm]:
-    """BFS transversal: point -> t with v^t = point, fixed gen order."""
-    t = {v: Perm.identity(degree)}
-    frontier = [v]
-    for x in frontier:  # grows while it is walked: a FIFO queue
+def _walk(gens, v: int, value, step):
+    """Yield (x, value at x) over v's orbit, breadth-first over gens.
+
+    v gets ``value``; y = x^s, first reached from x, gets ``step(value
+    at x, s)``.  A value is dropped once its children's are made."""
+    seen = {v}
+    queue = deque([(v, value)])
+    while queue:
+        x, val = queue.popleft()
+        yield x, val
         for s in gens:
             y = s.images[x]
-            if y not in t:
-                t[y] = t[x] * s
-                frontier.append(y)
-    return t
+            if y not in seen:
+                seen.add(y)
+                queue.append((y, step(val, s)))
 
 
 class _Chain:
@@ -268,15 +273,8 @@ class PermGroup:
         yield from self.chain.elements()
 
     def orbit(self, v: int) -> list[int]:
-        seen = {v}
-        frontier = [v]
-        for x in frontier:  # grows while it is walked: a FIFO queue
-            for g in self.generators:
-                y = g.images[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
+        return sorted(x for x, _ in _walk(self.generators, v, None,
+                                          lambda val, s: None))
 
     def orbits(self) -> list[list[int]]:
         out = []
@@ -296,7 +294,8 @@ class PermGroup:
         """BFS transversal from v over the generators; v must be a point."""
         if not 0 <= v < self.degree:
             raise ValueError(f"point {v} outside 0..{self.degree - 1}")
-        return _transversal(self.degree, self.generators, v)
+        return dict(_walk(self.generators, v, Perm.identity(self.degree),
+                          Perm.__mul__))
 
     def random_element(self, rng: random.Random) -> Perm:
         pool = list(self.generators) + [g.inv() for g in self.generators]
@@ -413,7 +412,7 @@ def find_semiregular(G: PermGroup, p: int,
                      seed: int = SEMIREGULAR_SEED) -> Perm | None:
     """Search for an element with n/p cycles of length exactly p.
 
-    The words of ``G.transversal_from(0)`` are tried first, no chain.  On
+    The words of ``G.transversal_from(0)``, made lazily, come first.  On
     a miss, groups of order at most ``SEMIREGULAR_EXHAUSTIVE_CAP`` are
     scanned element by element, so ``None`` proves that no such element
     exists; larger groups get ``SEMIREGULAR_WORDS`` seeded random words,
@@ -422,7 +421,8 @@ def find_semiregular(G: PermGroup, p: int,
     """
     if G.degree % p or not G.degree:
         return None
-    for g in G.transversal_from(0).values():
+    for _, g in _walk(G.generators, 0, Perm.identity(G.degree),
+                      Perm.__mul__):
         if (h := _semiregular_from(g, p)) is not None:
             return h
     if G.order() % p:

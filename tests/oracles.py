@@ -327,3 +327,29 @@ def stepping_order(F, a: int) -> int:
     while x != 1:
         x, o = F.mul(x, a), o + 1
     return o
+
+
+def bfs_transversal(degree: int, gens, v: int) -> dict[int, Perm]:
+    """Breadth-first transversal of v's orbit, stored whole: point ->
+    t with v^t = point, points in the order the walk reaches them."""
+    t = {v: Perm.identity(degree)}
+    frontier = [v]
+    for x in frontier:  # grows while it is walked: a FIFO queue
+        for s in gens:
+            y = s.images[x]
+            if y not in t:
+                t[y] = t[x] * s
+                frontier.append(y)
+    return t
+
+
+def edge_loop_voltages(X: Graph, dec) -> dict:
+    """Voltage table from every edge of X, both directions written."""
+    table: dict[tuple[int, int], set[int]] = {}
+    for u, w in X.edges():
+        a, i = dec.position[u]
+        b, j = dec.position[w]
+        # shift u back to rep(a): rep(a) ~ w^(rho^-i) = rep(b)^(rho^(j-i))
+        table.setdefault((a, b), set()).add((j - i) % dec.p)
+        table.setdefault((b, a), set()).add((i - j) % dec.p)
+    return {k: frozenset(v) for k, v in table.items()}

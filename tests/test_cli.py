@@ -102,6 +102,17 @@ class TestCommands:
         assert rep["result"] == "no_hamilton_cycle"
         assert rep["exception_flag"] is True
 
+    def test_output_is_one_compact_line(self, tmp_path, capsys):
+        from hamvt import analyze
+        out = tmp_path / "r.json"
+        assert main(["--json-out", str(out), "analyze",
+                     "--catalog", "prism:5"]) == EXIT_FOUND
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert out.read_text() == text
+        report = analyze(catalog("prism:5"), catalog_gens("prism:5"))
+        assert json.loads(text) == json.loads(json.dumps(report.to_json()))
+
     def test_analyze_group_file(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         write_graph(g, catalog("circulant:30:1,6"))

@@ -235,6 +235,17 @@ class TestCountEq2:
         with pytest.raises(ZeroC):
             count_eq2(F16, 1, 0)
 
+    @pytest.mark.parametrize("c", [-1, 16, 19])
+    def test_c_outside_field_rejected(self, c):
+        # -1 once wrapped to the count for c = 15; 16 and 19 overran
+        m = quad_irreducible_m(F16)
+        with pytest.raises(ValueError, match=f"c={c} outside 1..15"):
+            count_eq2(F16, m, c)
+
+    def test_bool_c_rejected(self):
+        with pytest.raises(TypeError):
+            count_eq2(F16, quad_irreducible_m(F16), True)
+
     def test_matches_scalar_loop(self):
         m = quad_irreducible_m(F16)
         for c in (1, 3, 7):

@@ -72,6 +72,61 @@ class TestVoltages:
         for (a, b), js in volt.cross.items():
             assert len(js) == valency[a, b]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_representative_rows_match_edge_loop(self, seed):
+        # a random union of <rho>-orbits on pairs, so rho preserves X
+        from oracles import edge_loop_voltages
+        rng = random.Random(seed)
+        for _ in range(40):
+            p, m = rng.choice([2, 3, 5, 7]), rng.randint(1, 4)
+            n = m * p
+            sigma = rng.sample(range(n), n)  # cell a is sigma[a*p:(a+1)*p]
+            rho = [0] * n
+            for v in range(n):
+                rho[sigma[v]] = sigma[p * (v // p) + (v % p + 1) % p]
+            edges = set()
+            for u in range(n):
+                for w in range(u + 1, n):
+                    if rng.random() < 0.3:
+                        while (min(u, w), max(u, w)) not in edges:
+                            edges.add((min(u, w), max(u, w)))
+                            u, w = rho[u], rho[w]
+            X = Graph.from_edges(n, sorted(edges))
+            dec = decompose(X, Perm(tuple(rho)), p)
+            assert voltage_assignment(X, dec).table == \
+                edge_loop_voltages(X, dec)
+
+    def test_cascade_inputs_match_edge_loop(self):
+        from hamvt import (PermGroup, coset_action, find_semiregular,
+                           orbital_graph, suborbits)
+        from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens
+        from hamvt.orbital import pair_closed_selections
+        from hamvt.products import catalog_gens
+        from oracles import edge_loop_voltages
+        names = ("petersen", "truncated_petersen", "heawood", "crown:7",
+                 "prism:7", "prism:20", "circulant:30:1,6",
+                 "circulant:60:1,6")
+        inputs = [(catalog(name), PermGroup(catalog(name).n,
+                                            catalog_gens(name)))
+                  for name in names]
+        for m in (9, 10):
+            X, rho = km_c3(m)
+            inputs.append((X, PermGroup(X.n, [rho])))
+        A = coset_action(PermGroup(17, psl2_16_gens()[1]),
+                         psl2_16_h_gens()).group
+        inputs += [(orbital_graph(A, 0, sel).graph, A)
+                   for sel in pair_closed_selections(suborbits(A, 0))]
+        compared = 0
+        for X, G in inputs:
+            for p in (2, 3, 5, 7, 17):
+                rho = find_semiregular(G, p)
+                if rho is not None:
+                    dec = decompose(X, rho, p)
+                    assert voltage_assignment(X, dec).table == \
+                        edge_loop_voltages(X, dec)
+                    compared += 1
+        assert compared >= len(inputs)
+
 
 class TestCycleVoltage:
     def test_triangle_with_nonzero_net(self):

@@ -362,6 +362,55 @@ def _oracle_groups():
 ORACLE_GROUPS = _oracle_groups()
 
 
+class TestOrbitWalk:
+    """One breadth-first walk serves orbits, transversals and the first
+    words of the semiregular search."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_transversal_matches_stored_bfs(self, name):
+        from oracles import bfs_transversal
+        n, gens = ORACLE_GROUPS[name]
+        G = PermGroup(n, gens)
+        for v in sorted({0, n // 2, n - 1}) if n else []:
+            want = bfs_transversal(n, G.generators, v)
+            assert list(G.transversal_from(v).items()) == list(want.items())
+            assert G.orbit(v) == sorted(want)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+    def test_semiregular_is_first_hit_among_bfs_words(self, name):
+        from hamvt.perms import _semiregular_from
+        from oracles import bfs_transversal
+        n, gens = ORACLE_GROUPS[name]
+        G = PermGroup(n, gens)
+        for p in (2, 3, 5, 17):
+            if n % p or not n:
+                continue
+            hits = [h for g in bfs_transversal(n, G.generators, 0).values()
+                    if (h := _semiregular_from(g, p)) is not None]
+            if hits:
+                assert find_semiregular(G, p) == hits[0], (name, p)
+
+    def test_second_word_hit_makes_few_products(self, monkeypatch):
+        # the whole transversal of a 3000-cycle would be 2999 products
+        n = 3000
+        r = Perm(tuple((i + 1) % n for i in range(n)))
+        f = Perm(tuple(-i % n for i in range(n)))
+        G = PermGroup(n, [r, f])
+        calls = [0]
+        mul = Perm.__mul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Perm, "__mul__", counted)
+        g = find_semiregular(G, 3)
+        monkeypatch.undo()
+        assert g == r ** (n // 3)
+        # the walk's products, then r^1000 by repeated squaring
+        assert calls[0] <= len(G.generators) + 2 * n.bit_length()
+
+
 class TestBlockSystemsOracle:
     """``block_systems`` against the image orbits of subset-oracle blocks."""
 

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -277,6 +278,24 @@ class TestChainFreeSemiregular:
         assert 51 not in builds
         monkeypatch.undo()
         assert traces == [analyze(X, A).strategy_trace for X in graphs]
+
+
+class TestLinearMemory:
+    """The group layers store no permutation per point."""
+
+    def test_long_cycle_analyze_peak(self):
+        # measured: 10.7 MiB; a stored transversal alone would hold
+        # 20,000 permutations of degree 20,000, about 3 GB
+        name = "circulant:20000:1"
+        X, gens = catalog(name), catalog_gens(name)
+        tracemalloc.start()
+        try:
+            rep = analyze(X, gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.result == "certificate"
+        assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def relabelled(X: Graph, gens, seed: int):
