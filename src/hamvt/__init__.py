@@ -7,9 +7,8 @@ from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        SolveResult, find_hamilton_cycle, find_hamilton_path,
                        iter_hamilton_cycles, verify_hamilton)
 from .lift import (InvalidChoice, NotAutomorphism, NotSemiregular,
-                   SemiregularDecomposition, VoltageAssignment, cycle_voltage,
-                   decompose, lift_hamilton, lifted_components,
-                   quotient_graph, voltage_assignment,
+                   SemiregularDecomposition, cycle_voltage, decompose,
+                   lift_hamilton, lifted_components, quotient_graph,
                    voltages_are_coboundary)
 from .orbital import (EmptySelection, OrbitalGraph, SuborbitTable,
                       orbital_graph, pair_closed_selections, suborbits)

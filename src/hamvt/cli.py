@@ -23,7 +23,7 @@ from .perms import SEMIREGULAR_SEED
 from .pipeline import (GroupDegreeMismatch, GroupNotAutomorphisms,
                        MalformedInput, analyze, graph_from_json,
                        group_from_json)
-from .products import BadParams, UnknownName, catalog, catalog_gens
+from .products import BadParams, UnknownName, _build, catalog
 
 EXIT_FOUND = 0
 EXIT_NONE = 1
@@ -54,12 +54,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    X = _load_graph(args)
-    group = None
-    if args.group:
-        group = group_from_json(_load_json(args.group))
-    elif args.catalog:
-        group = catalog_gens(args.catalog)
+    if args.catalog and not args.group:
+        X, group = _build(args.catalog)  # graph and generators in one build
+    else:
+        X = _load_graph(args)
+        group = group_from_json(_load_json(args.group)) if args.group else None
     report = analyze(X, group, budget=args.budget, seed=args.seed)
     _emit(args, report.to_json())
     if report.result == "certificate":

@@ -3,7 +3,8 @@
 Elements are k-bit integers in the polynomial basis.  The modulus is the
 lexicographically least irreducible degree-k polynomial whose class of x
 is primitive, and theta is that class, so every downstream constant is
-deterministic.
+deterministic.  numpy is imported inside the functions that use it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import _index
-from .perms import _prime_divisors
+from .perms import _power, _prime_divisors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegreeOutOfRange(ValueError):
@@ -73,15 +76,7 @@ class GF2k:
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e > 0 else 1
-        e %= self.q - 1 or 1
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(a, e % (self.q - 1 or 1), self.mul, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -104,6 +99,7 @@ def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exp has q - 1 entries and log[0] = -1 as in ``GF2k.tables``;
     trace[a] = a + a^2 + a^4 + ... + a^(2^(k-1)), which is 0 or 1.
     """
+    import numpy as np
     q1 = F.q - 1
     # theta = x for k >= 2: times x is a shift, reduced by the modulus
     # when degree k appears; at k = 1 (theta = 1) the loop does not run
@@ -130,20 +126,10 @@ def _tables(F: GF2k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _has_order(x, n: int, mul, one) -> bool:
     """Whether x has order exactly n: x^n = one and x^(n/r) != one for
-    every prime r dividing n, each power by square-and-multiply, so
-    O(log n) products per prime divisor."""
-    def power(e: int):
-        out, base = one, x
-        while e:
-            if e & 1:
-                out = mul(out, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return out
-
-    return power(n) == one and all(power(n // r) != one
-                                   for r in _prime_divisors(n))
+    every prime r dividing n, each power by ``_power``, so O(log n)
+    products per prime divisor."""
+    return _power(x, n, mul, one) == one and all(
+        _power(x, n // r, mul, one) != one for r in _prime_divisors(n))
 
 
 def field_make(k: int) -> GF2k:
@@ -165,6 +151,7 @@ def field_make(k: int) -> GF2k:
 
 def _trace_of_theta_pow(F: GF2k, e) -> np.ndarray:
     """Tr(theta^e), elementwise over an integer array of exponents."""
+    import numpy as np
     exp, _, trace = _tables(F)
     return trace[exp[np.asarray(e) % (F.q - 1)]]
 
@@ -175,6 +162,7 @@ def quad_irreducible_m(F: GF2k) -> int:
     x^2 + bx + 1 (b != 0) becomes z^2 + z = 1/b^2 under x = bz, which
     has no root exactly when Tr(1/b^2) = 1.
     """
+    import numpy as np
     ms = np.arange(F.q - 1)
     hits = np.flatnonzero(_trace_of_theta_pow(F, -2 * ms))
     if not hits.size:
@@ -240,6 +228,7 @@ def _check_s_group(F: GF2k, m: int, S: list[SMatrix]) -> None:
     first 8 rows of products, each one numpy pass in log space looked up
     in a set of the (a, b) pairs) and has an element of order q + 1
     (tried in list order by ``_has_order``, 11 ``s_mul`` calls at k = 8)."""
+    import numpy as np
     if len(S) != F.q + 1:
         raise AssertionError("S does not have order q+1")
     q1 = F.q - 1
@@ -287,6 +276,7 @@ def count_eq2(F: GF2k, m: int, c: int, require_y_nonzero: bool = False) -> int:
     q - 1 nonzero y are handled at once in log space: O(q) time and
     memory.  c = 0 raises ``ZeroC``, any other c outside 1..q-1 ``ValueError``.
     """
+    import numpy as np
     if (c := _index(c)) == 0:
         raise ZeroC("c must be nonzero")
     if not 0 < c < F.q:

@@ -54,6 +54,19 @@ def _prime_divisors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _power(x, e: int, mul, one):
+    """x^e for e >= 0 by square-and-multiply: at most 2 log2(e) + 1
+    products ``mul``, with no square after the top bit."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation of {0, ..., n-1} stored as its image tuple."""
@@ -102,14 +115,7 @@ class Perm:
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
             return self.inv() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Perm.__mul__, Perm.identity(self.degree))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -272,9 +278,15 @@ class PermGroup:
     def elements(self):
         yield from self.chain.elements()
 
+    def _point(self, v) -> int:
+        """v read through ``_index``; ``ValueError`` unless it is a point."""
+        if not 0 <= (v := _index(v)) < self.degree:
+            raise ValueError(f"point {v} is not in 0..{self.degree - 1}")
+        return v
+
     def orbit(self, v: int) -> list[int]:
-        return sorted(x for x, _ in _walk(self.generators, v, None,
-                                          lambda val, s: None))
+        return sorted(x for x, _ in _walk(self.generators, self._point(v),
+                                          None, lambda val, s: None))
 
     def orbits(self) -> list[list[int]]:
         out = []
@@ -292,10 +304,8 @@ class PermGroup:
 
     def transversal_from(self, v: int) -> dict[int, Perm]:
         """BFS transversal from v over the generators; v must be a point."""
-        if not 0 <= v < self.degree:
-            raise ValueError(f"point {v} outside 0..{self.degree - 1}")
-        return dict(_walk(self.generators, v, Perm.identity(self.degree),
-                          Perm.__mul__))
+        return dict(_walk(self.generators, self._point(v),
+                          Perm.identity(self.degree), Perm.__mul__))
 
     def random_element(self, rng: random.Random) -> Perm:
         pool = list(self.generators) + [g.inv() for g in self.generators]
@@ -358,9 +368,7 @@ def _block_classes(G: PermGroup, a: int, b: int) -> list[int]:
 
 def minimal_block(G: PermGroup, a: int, b: int) -> set[int]:
     """Smallest block of G containing {a, b}."""
-    for x in (a, b):
-        if not 0 <= x < G.degree:
-            raise ValueError(f"point {x} is not in 0..{G.degree - 1}")
+    a, b = G._point(a), G._point(b)
     if not G.is_transitive():
         raise NotTransitive("minimal_block requires a transitive group")
     if a == b:

@@ -129,7 +129,7 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
                 continue
             try:
                 # rho is a word in the checked generators: no re-check
-                cert, outcome = _lift(X, _decompose(rho, p), budget)
+                cert, outcome = _lift(X, _decompose(X, rho, p), budget)
             except BudgetExhausted:
                 cert, outcome = None, "budget exhausted"
             report.strategy_trace.append(

@@ -314,14 +314,19 @@ def _spec(name: str) -> tuple[str, tuple]:
     return base, tuple(values)
 
 
+def _build(name: str) -> tuple[Graph, list[Perm]]:
+    """The graph and generators of a catalog name, from one build."""
+    base, params = _spec(name)
+    return _CATALOG[base](*params)
+
+
 def catalog(name: str) -> Graph:
     """Named graph under a fixed labeling (see ``_CATALOG``).
 
     Parameters ride along in the name: ``crown:5``, ``circulant:30:1,6``,
     ``prism:7``, ``complete:5``, ``complete_bipartite:3:3``.
     """
-    base, params = _spec(name)
-    return _CATALOG[base](*params)[0]
+    return _build(name)[0]
 
 
 def catalog_gens(name: str) -> list[Perm]:
@@ -332,5 +337,4 @@ def catalog_gens(name: str) -> list[Perm]:
     has 2 orbits on the Coxeter graph and 4 on its truncation.  Names
     are validated as in ``catalog``.
     """
-    base, params = _spec(name)
-    return _CATALOG[base](*params)[1]
+    return _build(name)[1]

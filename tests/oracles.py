@@ -353,3 +353,32 @@ def edge_loop_voltages(X: Graph, dec) -> dict:
         table.setdefault((a, b), set()).add((j - i) % dec.p)
         table.setdefault((b, a), set()).add((i - j) % dec.p)
     return {k: frozenset(v) for k, v in table.items()}
+
+
+def edge_walk_coboundary(X: Graph, rho: Perm) -> bool:
+    """``voltages_are_coboundary`` by a walk over every cross edge of X:
+    at least two rho-cycles, and no component of the cross edges (edges
+    joining two cycles) meets a cycle twice."""
+    cycles = rho.cycles()
+    if len(cycles) < 2:
+        return False
+    cell = [0] * X.n
+    for i, c in enumerate(cycles):
+        for v in c:
+            cell[v] = i
+    seen = [False] * X.n
+    for s in range(X.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack, met = [s], set()
+        while stack:
+            u = stack.pop()
+            if cell[u] in met:
+                return False
+            met.add(cell[u])
+            for w in X.adj[u]:
+                if cell[w] != cell[u] and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return True

@@ -17,7 +17,7 @@ from hamvt import (Perm, PermGroup, ProductModel, analyze, catalog,
                    find_semiregular, iter_hamilton_cycles, lifted_components,
                    minimal_block, orbital_graph, quad_irreducible_m,
                    quotient_graph, s_group, s_matrix_order, suborbits,
-                   verify_hamilton, voltage_assignment, weil_check,
+                   verify_hamilton, weil_check,
                    y1_cycle, y2_cycle)
 from hamvt.fixtures import moebius_perm, psl2_16_gens, s6_on_s4_cosets
 from hamvt.gf2k import field_make
@@ -94,18 +94,17 @@ def test_criterion_04_lift_dichotomy_200():
     def check(X, rho, p):
         nonlocal instances, violations
         dec = decompose(X, rho, p)
-        volt = voltage_assignment(X, dec)
-        Q = quotient_graph(dec, volt)
+        Q = quotient_graph(dec)
         cycles = list(iter_hamilton_cycles(Q))
         if not cycles:
             return False
         cyc = rng.choice(cycles)
         k = len(cyc)
-        opts = [sorted(volt.voltages(cyc[i], cyc[(i + 1) % k]))
+        opts = [sorted(dec.voltages(cyc[i], cyc[(i + 1) % k]))
                 for i in range(k)]
         for choice in iproduct(*opts):
-            net = cycle_voltage(dec, volt, cyc, choice)
-            comps = lifted_components(dec, volt, cyc, choice)
+            net = cycle_voltage(dec, cyc, choice)
+            comps = lifted_components(dec, cyc, choice)
             good = all(X.has_edge(a, b) for comp in comps
                        for a, b in zip(comp, comp[1:] + comp[:1]))
             covered = sorted(v for c in comps for v in c)

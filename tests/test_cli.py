@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and the cycle-notation parser."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,18 @@ class TestCommands:
         rep = json.loads(out.read_text())
         assert rep["result"] == "no_hamilton_cycle"
         assert rep["exception_flag"] is True
+
+    def test_analyze_catalog_builds_once(self, monkeypatch, capsys):
+        from hamvt import products
+        build, calls = products._CATALOG["prism"], []
+
+        def counted(t):
+            calls.append(t)
+            return build(t)
+
+        monkeypatch.setitem(products._CATALOG, "prism", counted)
+        assert main(["analyze", "--catalog", "prism:5"]) == EXIT_FOUND
+        assert calls == [5]
 
     def test_output_is_one_compact_line(self, tmp_path, capsys):
         from hamvt import analyze
@@ -329,3 +345,15 @@ class TestCommands:
         monkeypatch.setattr("hamvt.cli.find_hamilton_cycle", crash)
         assert main(["solve", "--catalog", "petersen"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is most of the start-up time, and only gf2k's counts use it
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hamvt.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -9,7 +9,7 @@ from hamvt import (BudgetExhausted, Graph, InvalidChoice, NotAutomorphism,
                    NotSemiregular,
                    Perm, cycle_voltage, decompose, lift_hamilton,
                    lifted_components, quotient_graph, verify_hamilton,
-                   voltage_assignment, voltages_are_coboundary)
+                   voltages_are_coboundary)
 from hamvt.products import catalog
 
 
@@ -43,11 +43,10 @@ class TestVoltages:
     def test_c15_voltages(self):
         C15 = catalog("circulant:15:1")
         dec = decompose(C15, shift(15, 3), 5)
-        volt = voltage_assignment(C15, dec)
         # reps 0, 1, 2: 0~1 and 1~2 directly; 2~0 via 3 = 0^(rho^1)
-        assert volt.voltages(0, 1) == {0}
-        assert volt.voltages(1, 2) == {0}
-        assert volt.voltages(2, 0) == {1}
+        assert dec.voltages(0, 1) == {0}
+        assert dec.voltages(1, 2) == {0}
+        assert dec.voltages(2, 0) == {1}
 
     def test_reversal_symmetry(self):
         rng = random.Random(11)
@@ -56,20 +55,19 @@ class TestVoltages:
             steps = sorted(rng.sample(range(1, n // 2 + 1), 3))
             X = catalog(f"circulant:{n}:{','.join(map(str, steps))}")
             dec = decompose(X, shift(n, n // p), p)
-            volt = voltage_assignment(X, dec)
-            pairs = list(volt.cross) + [(a, a) for a in range(dec.m)]
+            pairs = ([(a, b) for a, b in dec.table if a < b]
+                     + [(a, a) for a in range(dec.m)])
             for (a, b) in pairs:
-                fwd = volt.voltages(a, b)
-                back = volt.voltages(b, a)
+                fwd = dec.voltages(a, b)
+                back = dec.voltages(b, a)
                 assert back == {(-j) % p for j in fwd}
 
     def test_voltage_count_matches_quotient_valency(self):
         from oracles import cell_valencies
         C15 = catalog("circulant:15:1,4")
         dec = decompose(C15, shift(15, 3), 5)
-        volt = voltage_assignment(C15, dec)
         valency = cell_valencies(C15, dec.cells)
-        for (a, b), js in volt.cross.items():
+        for (a, b), js in dec.table.items():
             assert len(js) == valency[a, b]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -93,8 +91,7 @@ class TestVoltages:
                             u, w = rho[u], rho[w]
             X = Graph.from_edges(n, sorted(edges))
             dec = decompose(X, Perm(tuple(rho)), p)
-            assert voltage_assignment(X, dec).table == \
-                edge_loop_voltages(X, dec)
+            assert dec.table == edge_loop_voltages(X, dec)
 
     def test_cascade_inputs_match_edge_loop(self):
         from hamvt import (PermGroup, coset_action, find_semiregular,
@@ -102,7 +99,7 @@ class TestVoltages:
         from hamvt.fixtures import psl2_16_gens, psl2_16_h_gens
         from hamvt.orbital import pair_closed_selections
         from hamvt.products import catalog_gens
-        from oracles import edge_loop_voltages
+        from oracles import edge_loop_voltages, edge_walk_coboundary
         names = ("petersen", "truncated_petersen", "heawood", "crown:7",
                  "prism:7", "prism:20", "circulant:30:1,6",
                  "circulant:60:1,6")
@@ -122,8 +119,9 @@ class TestVoltages:
                 rho = find_semiregular(G, p)
                 if rho is not None:
                     dec = decompose(X, rho, p)
-                    assert voltage_assignment(X, dec).table == \
-                        edge_loop_voltages(X, dec)
+                    assert dec.table == edge_loop_voltages(X, dec)
+                    assert voltages_are_coboundary(dec) == \
+                        edge_walk_coboundary(X, rho)
                     compared += 1
         assert compared >= len(inputs)
 
@@ -132,22 +130,19 @@ class TestCycleVoltage:
     def test_triangle_with_nonzero_net(self):
         C15 = catalog("circulant:15:1")
         dec = decompose(C15, shift(15, 3), 5)
-        volt = voltage_assignment(C15, dec)
         # edge 2 -> 0 realizes rep(2) ~ rep(0)^(rho^1)
-        assert cycle_voltage(dec, volt, (0, 1, 2), (0, 0, 1)) == 1
+        assert cycle_voltage(dec, (0, 1, 2), (0, 0, 1)) == 1
 
     def test_all_zero(self):
         PR = catalog("prism:3")
         dec = decompose(PR, Perm((3, 4, 5, 0, 1, 2)), 2)
-        volt = voltage_assignment(PR, dec)
-        assert cycle_voltage(dec, volt, (0, 1, 2), (0, 0, 0)) == 0
+        assert cycle_voltage(dec, (0, 1, 2), (0, 0, 0)) == 0
 
     def test_invalid_choice(self):
         C15 = catalog("circulant:15:1")
         dec = decompose(C15, shift(15, 3), 5)
-        volt = voltage_assignment(C15, dec)
         with pytest.raises(InvalidChoice):
-            cycle_voltage(dec, volt, (0, 1, 2), (3, 0, 4))
+            cycle_voltage(dec, (0, 1, 2), (3, 0, 4))
 
 
 class TestDichotomy:
@@ -155,18 +150,17 @@ class TestDichotomy:
         from itertools import product as iproduct
         from hamvt import iter_hamilton_cycles
         dec = decompose(X, rho, p)
-        volt = voltage_assignment(X, dec)
-        Q = quotient_graph(dec, volt)
+        Q = quotient_graph(dec)
         checked = 0
         liftable = False
         for cyc in iter_hamilton_cycles(Q):
             k = len(cyc)
-            opts = [sorted(volt.voltages(cyc[i], cyc[(i + 1) % k]))
+            opts = [sorted(dec.voltages(cyc[i], cyc[(i + 1) % k]))
                     for i in range(k)]
             for choice in iproduct(*opts):
-                net = cycle_voltage(dec, volt, cyc, choice)
+                net = cycle_voltage(dec, cyc, choice)
                 liftable = liftable or net % p != 0
-                comps = lifted_components(dec, volt, cyc, choice)
+                comps = lifted_components(dec, cyc, choice)
                 if net % p:
                     assert len(comps) == 1 and len(comps[0]) == k * p
                 else:
@@ -190,7 +184,9 @@ class TestDichotomy:
     def test_random_derived_graphs(self):
         # single voltages on small connected quotients, half of them a
         # coboundary by construction: the precheck must agree with the
-        # full enumeration either way
+        # full enumeration either way, and the table test must agree
+        # with the walk over X's cross edges
+        from oracles import edge_walk_coboundary
         rng = random.Random(4093)
         kinds = Counter()
         for _ in range(100):
@@ -208,8 +204,9 @@ class TestDichotomy:
                 volt = {e: rng.randrange(p) for e in edges}
             X, rho = derived(m, p, edges, volt)
             self._check(X, rho, p)
-            kinds[voltages_are_coboundary(X, rho),
-                  lift_hamilton(X, rho, p) is not None] += 1
+            coboundary = voltages_are_coboundary(decompose(X, rho, p))
+            assert coboundary == edge_walk_coboundary(X, rho)
+            kinds[coboundary, lift_hamilton(X, rho, p) is not None] += 1
         # proved by the precheck, enumerated in vain, and lifted
         assert kinds.keys() == {(True, False), (False, False), (False, True)}
         assert min(kinds.values()) >= 10
@@ -272,7 +269,7 @@ class TestLiftHamilton:
     def test_coboundary_decides_without_enumeration(self, m):
         # every cross voltage of K_m x C_3 is 0; budget=1 admits no search
         X, rho = km_c3(m)
-        assert voltages_are_coboundary(X, rho)
+        assert voltages_are_coboundary(decompose(X, rho, 3))
         assert lift_hamilton(X, rho, 3, budget=1) is None
         sigma = random.Random(m).sample(range(X.n), X.n)
         Y = Graph.from_edges(X.n, [(sigma[u], sigma[w])
@@ -284,8 +281,9 @@ class TestLiftHamilton:
 
     def test_one_nonzero_voltage_is_not_a_coboundary(self):
         X, rho = derived(12, 3, complete_edges(12), {(1, 3): 1})
-        assert not voltages_are_coboundary(X, rho)
-        assert not voltages_are_coboundary(*km_c3(1))  # one cell
+        assert not voltages_are_coboundary(decompose(X, rho, 3))
+        X1, rho1 = km_c3(1)  # one cell
+        assert not voltages_are_coboundary(decompose(X1, rho1, 3))
 
 
 def complete_edges(m):

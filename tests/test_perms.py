@@ -184,12 +184,17 @@ class TestGroup:
         assert stab.order() == 2
         assert stab.contains(Perm((0, 4, 3, 2, 1)))
 
-    @pytest.mark.parametrize("v", [-1, 5, 9])
+    @pytest.mark.parametrize("v", [-1, 5, 9, True])
     def test_point_outside_group_rejected(self, v):
+        # a bool is not read as an index, as everywhere else
+        error = TypeError if isinstance(v, bool) else ValueError
         D5 = PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((0, 4, 3, 2, 1))])
-        with pytest.raises(ValueError):
-            D5.transversal_from(v)
-        with pytest.raises(ValueError):
+        for G in (D5, PermGroup(5, [])):
+            with pytest.raises(error):
+                G.orbit(v)
+            with pytest.raises(error):
+                G.transversal_from(v)
+        with pytest.raises(error):
             point_stabilizer(D5, v)
 
     def test_generator_degree_mismatch(self):
@@ -263,6 +268,12 @@ class TestBlocks:
         Z6 = PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])
         bad = a if not 0 <= a < 6 else b
         with pytest.raises(ValueError, match=f"point {bad} is not in 0..5"):
+            minimal_block(Z6, a, b)
+
+    @pytest.mark.parametrize("a, b", [(True, 4), (0, 2.0)])
+    def test_points_must_be_integers(self, a, b):
+        Z6 = PermGroup(6, [Perm((1, 2, 3, 4, 5, 0))])
+        with pytest.raises(TypeError, match="not an index|integer"):
             minimal_block(Z6, a, b)
 
     def test_requires_transitive(self):

@@ -154,9 +154,9 @@ class TestAnalyze:
         orig = lift.voltages_are_coboundary
         calls = []
 
-        def counted(X, rho):
-            calls.append(rho)
-            return orig(X, rho)
+        def counted(dec):
+            calls.append(dec.rho)
+            return orig(dec)
 
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("hamvt")
