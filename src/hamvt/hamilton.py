@@ -106,6 +106,25 @@ class _Search:
     chains through the vertices it recounted, since a chain that avoids
     them is one the parent had, with the same ends.  A path may end at a
     vertex with two usable neighbours, so path mode has no such rule.
+
+    Cycle modes also bound the forced-edge load (same paper).  Such a
+    *forced* vertex puts a forced edge on each of its two usable
+    neighbours.  An unvisited vertex has two slots for forced edges;
+    once the path has two vertices, the end and the start (its closing
+    edge) have one each.  A vertex over its slots kills the node.  Each
+    frame carries its path's *tight* vertices, the unvisited ones with
+    no usable neighbour to spare: the forced ones, or in a path search
+    the short one.  A vertex leaves that mask only when it is visited,
+    since a tight vertex that loses a usable neighbour kills the node,
+    and joins it only when a step recounts it; so a load can grow only
+    on the unvisited neighbours of the newly forced vertices, which are
+    the ones checked, and on the end and the start, checked at every
+    node past the root.  The root checks every loaded unvisited vertex:
+    a neighbour of the start counted as forced there has no other
+    neighbour and dies by the chain rule, so every forced edge is real.
+    The end has at most one forced neighbour w, by its one slot, and
+    the edge to w is then in every completion: w is the only candidate,
+    since any other leaves w one usable neighbour.
     """
 
     def __init__(self, X: Graph, mode: str, budget: int):
@@ -120,6 +139,7 @@ class _Search:
                 adj[v] |= 1 << w
         full = (1 << n) - 1
         cyclic = self.mode != "path"
+        need = 2 if cyclic else 1  # usable neighbours a vertex needs
         ordered = self.mode != "all"
 
         def fewest(cand: int, rem: int) -> int:
@@ -159,31 +179,47 @@ class _Search:
                     return True
             return False
 
-        def step(touched: int, v: int, rem: int, short: int) -> int | None:
+        def step(touched: int, v: int, rem: int, tight: int) -> int | None:
             """The prune at a path ending at v: recounts the touched
-            vertices, given the parent's short vertices.  None if no
-            Hamilton completion exists, else the unvisited vertices with
-            one usable neighbour."""
+            vertices, given the parent's tight vertices.  None if no
+            Hamilton completion exists, else this path's tight vertices:
+            the unvisited ones with one usable neighbour (path mode) or
+            two (cycle modes)."""
             region = rem | 1 << v
             cand = touched
-            forced = 0
+            fresh = loaded = 0
             while cand:
                 b = cand & -cand
                 cand ^= b
-                k = (adj[b.bit_length() - 1] & region).bit_count()
+                w = b.bit_length() - 1
+                k = (adj[w] & region).bit_count()
                 if closers & b:
                     k += 1
-                if k < 2:
-                    if cyclic or not k:
+                if k <= need:
+                    if k < need:
                         return None
-                    short |= b
-                elif k == 2 and cyclic:
-                    forced |= b
-            short &= rem
-            if short & (short - 1):
+                    fresh |= b
+                    loaded |= adj[w]
+            # a touched vertex tight in the parent lost its end u as a
+            # usable neighbour and returned None above
+            tight = tight & rem | fresh
+            if not cyclic:
+                if tight & (tight - 1):
+                    return None
+            elif broken(fresh, rem, region):
                 return None
-            if broken(forced, rem, region):
-                return None
+            else:
+                # loads grow only on the neighbours of newly forced
+                # vertices, and on the end and the start once they differ
+                loaded &= rem
+                while loaded:
+                    b = loaded & -loaded
+                    loaded ^= b
+                    if (adj[b.bit_length() - 1] & tight).bit_count() > 2:
+                        return None
+                if v != start and ((adj[v] & tight).bit_count() > 1
+                                   or (closers & tight).bit_count() > 1):
+                    return None
             # the region is connected iff v reaches every touched vertex:
             # all of it at a root, else the other neighbours of the vertex
             # left behind
@@ -198,7 +234,7 @@ class _Search:
                     nxt |= adj[b.bit_length() - 1]
                 frontier = nxt & region & ~seen
                 seen |= frontier
-            return short
+            return tight
 
         if self.mode == "all":
             start = 0
@@ -210,14 +246,14 @@ class _Search:
         visited = 0
         nodes, budget = self.nodes, self.budget
         # each frame is the bitmask of candidates not yet tried there;
-        # shorts[i] holds the short vertices of the path that owns frame i
+        # tights[i] holds the tight vertices of the path that owns frame i
         stack = [1 << start if cyclic else full]
-        shorts = [0]
+        tights = [0]
         while stack:
             frame = stack[-1]
             if not frame:
                 stack.pop()
-                shorts.pop()
+                tights.pop()
                 if path:
                     visited ^= 1 << path.pop()
                 continue
@@ -235,15 +271,18 @@ class _Search:
             rem = full & ~visited
             if rem:
                 if cyclic and not closers & rem:
-                    short = None
+                    tight = None
                 elif not rem & (rem - 1):  # one vertex left: it must follow v
-                    short = 0 if adj[v] & rem else None
+                    tight = 0 if adj[v] & rem else None
                 else:
                     touched = adj[path[-2]] & rem if len(path) > 1 else rem
-                    short = step(touched, v, rem, shorts[-1])
-                if short is not None:
-                    stack.append(adj[v] & rem)
-                    shorts.append(short)
+                    tight = step(touched, v, rem, tights[-1])
+                if tight is not None:
+                    cand = adj[v] & rem
+                    # a forced neighbour of the end must come next; the
+                    # load rule leaves at most one, and none at a root
+                    stack.append((cand & tight or cand) if cyclic else cand)
+                    tights.append(tight)
                     continue
             elif not cyclic or closers & b:
                 self.nodes = nodes

@@ -151,6 +151,8 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
         report.result = "no_hamilton_cycle"
         report.reason = "exhaustive search completed"
         pres = find_hamilton_path(X, budget)
+        report.strategy_trace.append(
+            {"strategy": "path_search", "outcome": pres.status})
         if pres.status == "found":
             report.path_certificate = pres.certificate
     else:

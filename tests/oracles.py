@@ -5,6 +5,7 @@ enumeration, permutation enumeration.  The library must agree with
 these on small instances.
 """
 
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -203,6 +204,10 @@ class ChainFreeSearch:
         return seen != ends or bool(
             short and (cyclic or short & ~ones or short & (short - 1)))
 
+    def moves(self, path, rem, closers) -> int:
+        """The candidates for the next vertex, as a bitmask."""
+        return self.adj[path[-1]] & rem
+
     def __iter__(self):
         n, adj = self.X.n, self.adj
         full = (1 << n) - 1
@@ -226,7 +231,7 @@ class ChainFreeSearch:
                 if not cyclic or closers >> v & 1:
                     yield tuple(path)
             elif not self.dead(path, rem, closers):
-                for w in order(adj[v] & rem, rem):
+                for w in order(self.moves(path, rem, closers), rem):
                     yield from push(path + [w], visited | 1 << w, closers)
 
         closers = adj[start] if cyclic else 0
@@ -234,47 +239,84 @@ class ChainFreeSearch:
             yield from push([root], 1 << root, closers)
 
 
-class ReferenceSearch(ChainFreeSearch):
-    """``hamilton._Search`` with its whole prune recomputed at every
-    node: the full sweep, then in cycle modes the forced-chain rule,
-    walking the chain of every unvisited vertex that has exactly two
-    usable neighbours."""
+class LoadFreeSearch(ChainFreeSearch):
+    """``hamilton._Search`` without its forced-edge load rule, with the
+    rest of its prune recomputed at every node: the full sweep, then in
+    cycle modes the forced-chain rule, walking the chain of every
+    unvisited vertex that has exactly two usable neighbours."""
+
+    def usable(self, path, rem, closers, w) -> list[int]:
+        """w's usable neighbours; at the root the start is listed twice
+        for its neighbours, once as the end, once to close."""
+        out = [x for x in self.X.adj[w] if rem >> x & 1 or x == path[-1]]
+        if closers >> w & 1:
+            out.append(path[0])
+        return out
+
+    def forced(self, path, rem, closers) -> set[int]:
+        """The unvisited vertices with exactly two usable neighbours."""
+        return {w for w in range(self.X.n) if rem >> w & 1
+                and len(self.usable(path, rem, closers, w)) == 2}
 
     def dead(self, path, rem, closers) -> bool:
         if super().dead(path, rem, closers):
             return True
         if not self.cyclic or not rem & (rem - 1):
             return False
-        X, v, start = self.X, path[-1], path[0]
-        unvisited = [w for w in range(X.n) if rem >> w & 1]
-
-        def usable(w):
-            """w's usable neighbours; at the root the start is listed
-            twice for its neighbours, once as the end, once to close."""
-            out = [x for x in X.adj[w] if rem >> x & 1 or x == v]
-            if closers >> w & 1:
-                out.append(start)
-            return out
-
-        for w in unvisited:
-            if len(usable(w)) != 2:
-                continue
+        start = path[0]
+        unvisited = {w for w in range(self.X.n) if rem >> w & 1}
+        forced = self.forced(path, rem, closers)
+        for w in forced:
             chain, ends = {w}, []
-            for x in usable(w):
+            for x in self.usable(path, rem, closers, w):
                 prev = w
-                while x in unvisited and len(usable(x)) == 2:
+                while x in forced:
                     if x == w:
                         return True  # the chain closes on itself
                     chain.add(x)
-                    rest = usable(x)
+                    rest = self.usable(path, rem, closers, x)
                     rest.remove(prev)
                     prev, x = x, rest[0]
                 ends.append(x)
             if ends[0] == ends[1] and not (
                     len(path) == 1 and ends[0] == start
-                    and chain == set(unvisited)):
+                    and chain == unvisited):
                 return True
         return False
+
+
+class ReferenceSearch(LoadFreeSearch):
+    """``hamilton._Search`` with its whole prune recomputed at every
+    node: ``LoadFreeSearch``'s, then in cycle modes the forced-edge load
+    rule and the forced next move.
+
+    Each forced vertex (unvisited, two usable neighbours) puts a forced
+    edge on both of its usable neighbours.  An unvisited vertex has two
+    slots for them; once the path has two vertices, the end and the
+    start (its closing edge) have one each.  A node with a vertex over
+    its slots is dead.  A live node whose end has exactly one forced
+    neighbour tries only that one next.
+    """
+
+    def dead(self, path, rem, closers) -> bool:
+        if super().dead(path, rem, closers):
+            return True
+        if not self.cyclic or not rem & (rem - 1):
+            return False
+        slots = {w: 2 for w in range(self.X.n) if rem >> w & 1}
+        if len(path) >= 2:
+            slots[path[-1]] = slots[path[0]] = 1
+        load = Counter()
+        for w in self.forced(path, rem, closers):
+            load.update(self.usable(path, rem, closers, w))
+        return any(load[x] > k for x, k in slots.items())
+
+    def moves(self, path, rem, closers) -> int:
+        if self.cyclic and len(path) >= 2:
+            nxt = self.forced(path, rem, closers) & set(self.X.adj[path[-1]])
+            if len(nxt) == 1:
+                return 1 << nxt.pop()
+        return super().moves(path, rem, closers)
 
 
 def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:

@@ -43,6 +43,21 @@ class TestAnalyze:
         assert rep.exception_flag
         assert rep.path_certificate is not None
         assert verify_hamilton(X, rep.path_certificate)
+        assert rep.strategy_trace[-2:] == [
+            {"strategy": "exact_search", "outcome": "none"},
+            {"strategy": "path_search", "outcome": "found"}]
+
+    def test_path_search_out_of_budget(self):
+        # a 12-cycle with a pendant vertex has no Hamilton cycle (0 search
+        # nodes) and a Hamilton path that takes more than 3 nodes to find
+        X = Graph.from_edges(13, [(i, (i + 1) % 12) for i in range(12)]
+                             + [(0, 12)])
+        rep = analyze(X, budget=3)
+        assert rep.result == "no_hamilton_cycle"
+        assert rep.path_certificate is None
+        assert rep.strategy_trace == [
+            {"strategy": "exact_search", "outcome": "none"},
+            {"strategy": "path_search", "outcome": "unknown"}]
 
     def test_exception_flag_only_for_the_truncation(self):
         assert not analyze(catalog("petersen"),
@@ -345,8 +360,9 @@ class TestReport:
         assert set(rep) == REPORT_KEYS
         for entry in rep["strategy_trace"]:
             assert set(entry) == {"strategy", "outcome"}
-            assert re.fullmatch(r"structure|lift_p\d+|exact_search",
-                                entry["strategy"])
+            assert re.fullmatch(
+                r"structure|lift_p\d+|exact_search|path_search",
+                entry["strategy"])
 
     @pytest.mark.parametrize("name", ["prism:7", "circulant:30:1,6"])
     def test_no_block_work(self, name, monkeypatch):
