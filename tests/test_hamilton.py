@@ -230,6 +230,23 @@ class TestIncrementalPrune:
         assert exhausted >= 50  # the budget check is exercised too
 
 
+def same_cycles(X: Graph, without) -> int:
+    """Check both cycle modes against ``without``, the search lacking a
+    rule: the same cycles in the same order in no more nodes, and for
+    n <= 14 the Held-Karp verdict.  Returns the nodes the rule saved."""
+    saved = 0
+    for mode in ("all", "cycle"):
+        got = run(_Search(X, mode, 10**6))
+        want = run(without(X, mode, 10**6))
+        assert not want[2] and got[0] == want[0], \
+            (mode, X.n, sorted(X.edges()))
+        assert got[1] <= want[1]
+        saved += want[1] - got[1]
+    if X.n <= 14:  # got is the cycle-mode run
+        assert bool(got[0]) == held_karp_cycle(X)
+    return saved
+
+
 class TestForcedChainRule:
     """The forced-chain rule cuts only subtrees without a Hamilton
     cycle: the search without it finds the same cycles, in the same
@@ -237,20 +254,8 @@ class TestForcedChainRule:
 
     def test_same_cycles_as_chain_free_search(self):
         rng = random.Random("chains")
-        budget = 10**6
-        saved = 0
-        for _ in range(100):
-            X = sparse_graph(rng)
-            for mode in ("all", "cycle"):
-                got = run(_Search(X, mode, budget))
-                want = run(ChainFreeSearch(X, mode, budget))
-                assert not want[2] and got[0] == want[0], \
-                    (mode, X.n, sorted(X.edges()))
-                assert got[1] <= want[1]
-                saved += want[1] - got[1]
-            if X.n <= 14:  # got is the cycle-mode run
-                assert bool(got[0]) == held_karp_cycle(X)
-        assert saved > 0
+        assert sum(same_cycles(sparse_graph(rng), ChainFreeSearch)
+                   for _ in range(100)) > 0
 
 
 def truncation_family(rng: random.Random) -> Graph:
@@ -362,39 +367,25 @@ class TestForcedEdgeLoad:
     subtrees without a Hamilton cycle: the search without them finds
     the same cycles, in the same order, and so does the Held-Karp DP."""
 
-    def check(self, X: Graph) -> int:
-        """Compare both modes with the load-free search; the nodes the
-        rule saved."""
-        saved = 0
-        for mode in ("all", "cycle"):
-            got = run(_Search(X, mode, 10**6))
-            want = run(LoadFreeSearch(X, mode, 10**6))
-            assert not want[2] and got[0] == want[0], \
-                (mode, X.n, sorted(X.edges()))
-            assert got[1] <= want[1]
-            saved += want[1] - got[1]
-        if X.n <= 14:  # got is the cycle-mode run
-            assert bool(got[0]) == held_karp_cycle(X)
-        return saved
-
     def test_sparse_graphs(self):
         rng = random.Random("loads")
-        assert sum(self.check(sparse_graph(rng)) for _ in range(100)) > 0
+        assert sum(same_cycles(sparse_graph(rng), LoadFreeSearch)
+                   for _ in range(100)) > 0
 
     def test_random_cubic_graphs(self):
         rng = random.Random("cubic-loads")
-        assert sum(self.check(random_cubic(rng, rng.choice((8, 10, 12, 14))))
-                   for _ in range(60)) > 0
+        assert sum(same_cycles(random_cubic(rng, rng.choice((8, 10, 12, 14))),
+                               LoadFreeSearch) for _ in range(60)) > 0
 
     def test_truncation_family(self):
         rng = random.Random("truncation-loads")
-        assert sum(self.check(truncation_family(rng))
+        assert sum(same_cycles(truncation_family(rng), LoadFreeSearch)
                    for _ in range(40)) > 0
 
     @pytest.mark.parametrize("name", VT_CORPUS)
     def test_relabelled_vertex_transitive(self, name):
         for seed in (1, 2):
-            self.check(relabelled(catalog(name), seed))
+            same_cycles(relabelled(catalog(name), seed), LoadFreeSearch)
 
 
 class TestNodeCounts:
