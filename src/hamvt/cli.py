@@ -33,8 +33,11 @@ EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:  # a missing file, a directory, no permission
+        raise MalformedInput(f"cannot read {path}: {e.strerror or e}")
 
 
 def _load_graph(args) -> Graph:

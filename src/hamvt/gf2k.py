@@ -67,9 +67,6 @@ class GF2k:
     def q(self) -> int:
         return 1 << self.k
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return _poly_mod(_poly_mul(a, b), self.modulus)
 
@@ -266,7 +263,7 @@ def s_matrix_order(F: GF2k, m: int, s: SMatrix) -> int:
     return o
 
 
-def count_eq2(F: GF2k, m: int, c: int, require_y_nonzero: bool = False) -> int:
+def count_eq2(F: GF2k, m: int, c: int) -> int:
     """Number of (a, y) with a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0.
 
     Fix y and write the equation as a^2 + Ba + C = 0 with B =
@@ -290,8 +287,7 @@ def count_eq2(F: GF2k, m: int, c: int, require_y_nonzero: bool = False) -> int:
     ratio = np.zeros(q1, dtype=np.int64)  # C = 0 leaves ratio 0, trace 0
     nz = cc != 0
     ratio[nz] = exp[(log[cc[nz]] - 2 * lb[nz]) % q1]
-    roots = 2 * int(np.count_nonzero(trace[ratio] == 0))
-    return roots if require_y_nonzero else roots + 1
+    return 2 * int(np.count_nonzero(trace[ratio] == 0)) + 1
 
 
 def weil_check(N: int, q: int, d: int) -> bool:

@@ -93,38 +93,35 @@ class _Search:
     neighbour as the region loses u.  The region is connected if a
     search from v reaches every touched vertex.
 
-    Cycle modes add the forced-chain rule (Vandegriend & Culberson, JAIR
-    9, 1998).  An unvisited vertex with exactly two usable neighbours
-    must use both edges, so a maximal chain of such vertices is a path
-    that every completion contains.  The node is dead if a chain closes
-    on itself or has the same vertex at both ends: either way it forces
-    a cycle that misses the rest.  The start at the root has two free
-    slots, but it counts twice for its neighbours, so a chain ends there
-    at both ends only as a lone neighbour with no other usable
-    neighbour, which never covers the two or more unvisited vertices a
-    root has; equal ends are fatal there too.  A node walks only the
-    chains through the vertices it recounted, since a chain that avoids
-    them is one the parent had, with the same ends.  A path may end at a
-    vertex with two usable neighbours, so path mode has no such rule.
+    Cycle modes add the forced-edge load rule (Vandegriend & Culberson,
+    JAIR 9, 1998).  An unvisited vertex with exactly two usable
+    neighbours is *forced*: every completion uses both its edges, so it
+    puts a forced edge on each of them.  An unvisited vertex has two
+    slots for forced edges; once the path has two vertices, the end and
+    the start (its closing edge) have one each.  A vertex over its slots
+    kills the node.  Each frame carries its path's *tight* vertices, the
+    unvisited ones with no usable neighbour to spare: the forced ones,
+    or in a path search the short one.  A vertex leaves that mask only
+    when it is visited, since a tight vertex that loses a usable
+    neighbour kills the node, and joins it only when a step recounts it;
+    so a load can grow only on the unvisited neighbours of the newly
+    forced vertices, which are the ones checked, and on the end and the
+    start, checked at every node past the root.  At a root a neighbour
+    of the start counted as forced has no other neighbour: its loads
+    fall on the start, which the root does not check, and such
+    neighbours are the start's only candidates, each dead at the next
+    node.  Past the root the end has at most one forced neighbour w, by
+    its one slot, and the edge to w is then in every completion: w is
+    the only candidate, since any other leaves w one usable neighbour.
 
-    Cycle modes also bound the forced-edge load (same paper).  Such a
-    *forced* vertex puts a forced edge on each of its two usable
-    neighbours.  An unvisited vertex has two slots for forced edges;
-    once the path has two vertices, the end and the start (its closing
-    edge) have one each.  A vertex over its slots kills the node.  Each
-    frame carries its path's *tight* vertices, the unvisited ones with
-    no usable neighbour to spare: the forced ones, or in a path search
-    the short one.  A vertex leaves that mask only when it is visited,
-    since a tight vertex that loses a usable neighbour kills the node,
-    and joins it only when a step recounts it; so a load can grow only
-    on the unvisited neighbours of the newly forced vertices, which are
-    the ones checked, and on the end and the start, checked at every
-    node past the root.  The root checks every loaded unvisited vertex:
-    a neighbour of the start counted as forced there has no other
-    neighbour and dies by the chain rule, so every forced edge is real.
-    The end has at most one forced neighbour w, by its one slot, and
-    the edge to w is then in every completion: w is the only candidate,
-    since any other leaves w one usable neighbour.
+    A forced-chain rule (same paper) would also cut a node whose chain
+    of forced vertices closes on itself or has one vertex at both ends;
+    the two rules above cut it too.  A closed chain is a component of
+    the region without v.  Ends that meet at the end, or at the start
+    past the root, overload a vertex with one slot; at a root they meet
+    only at a lone neighbour of the start.  Ends that meet at an
+    unvisited hub x are cut later: once x is the end, or once it has a
+    third forced edge.
     """
 
     def __init__(self, X: Graph, mode: str, budget: int):
@@ -153,32 +150,6 @@ class _Search:
                     best, key = b, k
             return best
 
-        def broken(forced: int, rem: int, region: int) -> bool:
-            """Whether the maximal chain through one of the forced
-            vertices (unvisited, two usable neighbours) closes on itself
-            or has the same vertex at both ends."""
-            while forced:
-                w = (forced & -forced).bit_length() - 1
-                forced ^= 1 << w
-                link = adj[w] & region | (closers >> w & 1) << start
-                first = link & -link
-                ends = []
-                # at the root a neighbour of the start counts it twice,
-                # so link may be the start alone: both ends are the start
-                for b in (first, link ^ first or first):
-                    prev, x = w, b.bit_length() - 1
-                    while (rem >> x & 1 and (adj[x] & region).bit_count()
-                           + (closers >> x & 1) == 2):
-                        if x == w:
-                            return True
-                        forced &= ~(1 << x)
-                        link = adj[x] & region | (closers >> x & 1) << start
-                        prev, x = x, (link ^ 1 << prev).bit_length() - 1
-                    ends.append(x)
-                if ends[0] == ends[1]:
-                    return True
-            return False
-
         def step(touched: int, v: int, rem: int, tight: int) -> int | None:
             """The prune at a path ending at v: recounts the touched
             vertices, given the parent's tight vertices.  None if no
@@ -206,8 +177,6 @@ class _Search:
             if not cyclic:
                 if tight & (tight - 1):
                     return None
-            elif broken(fresh, rem, region):
-                return None
             else:
                 # loads grow only on the neighbours of newly forced
                 # vertices, and on the end and the start once they differ
@@ -279,8 +248,8 @@ class _Search:
                     tight = step(touched, v, rem, tights[-1])
                 if tight is not None:
                     cand = adj[v] & rem
-                    # a forced neighbour of the end must come next; the
-                    # load rule leaves at most one, and none at a root
+                    # a forced neighbour of the end must come next; past
+                    # the root the load rule leaves at most one
                     stack.append((cand & tight or cand) if cyclic else cand)
                     tights.append(tight)
                     continue

@@ -446,6 +446,15 @@ def find_semiregular(G: PermGroup, p: int,
     return None
 
 
+def _semiregular_miss(G: PermGroup, p: int) -> str:
+    """What a None from ``find_semiregular(G, p)`` shows: absence, unless
+    the search fell back to random words."""
+    if (G.degree % p or G.order() % p
+            or G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP):
+        return "no semiregular element (proved absent)"
+    return f"no semiregular element found in {SEMIREGULAR_WORDS} random words"
+
+
 class CosetAction:
     """Action of a group on the right cosets of a subgroup."""
 

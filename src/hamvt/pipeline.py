@@ -16,9 +16,8 @@ from .hamilton import (DEFAULT_BUDGET, BudgetExhausted, HamiltonCertificate,
                        contract_triangles, find_hamilton_cycle,
                        find_hamilton_path, verify_hamilton)
 from .lift import _decompose, _lift
-from .perms import (SEMIREGULAR_EXHAUSTIVE_CAP, SEMIREGULAR_SEED,
-                    SEMIREGULAR_WORDS, GroupDegreeMismatch, Perm, PermGroup,
-                    _prime_divisors, find_semiregular)
+from .perms import (SEMIREGULAR_SEED, GroupDegreeMismatch, Perm, PermGroup,
+                    _prime_divisors, _semiregular_miss, find_semiregular)
 
 
 class MalformedInput(ValueError):
@@ -117,15 +116,9 @@ def analyze(X: Graph, group_gens=None, budget: int = DEFAULT_BUDGET,
         for p in reversed(_prime_divisors(X.n)):
             rho = find_semiregular(G, p, seed=seed)
             if rho is None:
-                # find_semiregular scans every element up to the cap
-                proved = (G.order() % p != 0
-                          or G.order() <= SEMIREGULAR_EXHAUSTIVE_CAP)
                 report.strategy_trace.append(
                     {"strategy": f"lift_p{p}",
-                     "outcome": ("no semiregular element (proved absent)"
-                                 if proved else
-                                 "no semiregular element found in "
-                                 f"{SEMIREGULAR_WORDS} random words")})
+                     "outcome": _semiregular_miss(G, p)})
                 continue
             try:
                 # rho is a word in the checked generators: no re-check

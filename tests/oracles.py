@@ -163,10 +163,10 @@ def held_karp_cycle(X: Graph) -> bool:
     return bool(dp[(1 << n) - 1] & adj[0])
 
 
-class ChainFreeSearch:
-    """``hamilton._Search`` without its forced-chain rule, with the
-    prune recomputed in full at every node by one breadth-first sweep
-    over the unvisited vertices.
+class LoadFreeSearch:
+    """``hamilton._Search`` without its forced-edge load rule, with the
+    rest of its prune recomputed in full at every node by one
+    breadth-first sweep over the unvisited vertices.
 
     Same modes, start, orientation rule, candidate order, node count and
     budget as the library engine, written as a recursive generator.
@@ -239,11 +239,18 @@ class ChainFreeSearch:
             yield from push([root], 1 << root, closers)
 
 
-class LoadFreeSearch(ChainFreeSearch):
-    """``hamilton._Search`` without its forced-edge load rule, with the
-    rest of its prune recomputed at every node: the full sweep, then in
-    cycle modes the forced-chain rule, walking the chain of every
-    unvisited vertex that has exactly two usable neighbours."""
+class ReferenceSearch(LoadFreeSearch):
+    """``hamilton._Search`` with its whole prune recomputed at every
+    node: ``LoadFreeSearch``'s, then in cycle modes the forced-edge load
+    rule and the forced next move.
+
+    Each forced vertex (unvisited, two usable neighbours) puts a forced
+    edge on both of its usable neighbours.  An unvisited vertex has two
+    slots for them; once the path has two vertices, the end and the
+    start (its closing edge) have one each.  A node with a vertex over
+    its slots is dead.  A live node whose end has forced neighbours
+    tries only those next.
+    """
 
     def usable(self, path, rem, closers, w) -> list[int]:
         """w's usable neighbours; at the root the start is listed twice
@@ -263,46 +270,6 @@ class LoadFreeSearch(ChainFreeSearch):
             return True
         if not self.cyclic or not rem & (rem - 1):
             return False
-        start = path[0]
-        unvisited = {w for w in range(self.X.n) if rem >> w & 1}
-        forced = self.forced(path, rem, closers)
-        for w in forced:
-            chain, ends = {w}, []
-            for x in self.usable(path, rem, closers, w):
-                prev = w
-                while x in forced:
-                    if x == w:
-                        return True  # the chain closes on itself
-                    chain.add(x)
-                    rest = self.usable(path, rem, closers, x)
-                    rest.remove(prev)
-                    prev, x = x, rest[0]
-                ends.append(x)
-            if ends[0] == ends[1] and not (
-                    len(path) == 1 and ends[0] == start
-                    and chain == unvisited):
-                return True
-        return False
-
-
-class ReferenceSearch(LoadFreeSearch):
-    """``hamilton._Search`` with its whole prune recomputed at every
-    node: ``LoadFreeSearch``'s, then in cycle modes the forced-edge load
-    rule and the forced next move.
-
-    Each forced vertex (unvisited, two usable neighbours) puts a forced
-    edge on both of its usable neighbours.  An unvisited vertex has two
-    slots for them; once the path has two vertices, the end and the
-    start (its closing edge) have one each.  A node with a vertex over
-    its slots is dead.  A live node whose end has exactly one forced
-    neighbour tries only that one next.
-    """
-
-    def dead(self, path, rem, closers) -> bool:
-        if super().dead(path, rem, closers):
-            return True
-        if not self.cyclic or not rem & (rem - 1):
-            return False
         slots = {w: 2 for w in range(self.X.n) if rem >> w & 1}
         if len(path) >= 2:
             slots[path[-1]] = slots[path[0]] = 1
@@ -312,14 +279,14 @@ class ReferenceSearch(LoadFreeSearch):
         return any(load[x] > k for x, k in slots.items())
 
     def moves(self, path, rem, closers) -> int:
-        if self.cyclic and len(path) >= 2:
+        if self.cyclic:
             nxt = self.forced(path, rem, closers) & set(self.X.adj[path[-1]])
-            if len(nxt) == 1:
-                return 1 << nxt.pop()
+            if nxt:
+                return sum(1 << w for w in nxt)
         return super().moves(path, rem, closers)
 
 
-def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:
+def brute_count_eq2(F, m: int, c: int) -> int:
     """#{(a, y): a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0}, by filling the
     whole q x q table of left-hand sides."""
     q = F.q
@@ -338,10 +305,7 @@ def brute_count_eq2(F, m: int, c: int, require_y_nonzero: bool = False) -> int:
     prod[0, :] = 0
     prod[:, t1 == 0] = 0
     lhs = sq[:, None] ^ prod ^ t2[None, :]
-    zero = lhs == 0
-    if require_y_nonzero:
-        zero[:, 0] = False
-    return int(zero.sum())
+    return int((lhs == 0).sum())
 
 
 def quadratic_has_root(F, m: int) -> bool:

@@ -295,6 +295,16 @@ class TestCommands:
         assert main(["solve", "--graph", "/nonexistent.json"]) == EXIT_INPUT
 
     @pytest.mark.parametrize("argv", [
+        ["solve", "--graph"],
+        ["analyze", "--catalog", "petersen", "--group"],
+        ["verify", "--catalog", "petersen", "--certificate"],
+    ])
+    def test_directory_is_input_error(self, argv, tmp_path, capsys):
+        assert main(argv + [str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["--budget", "abc", "solve", "--catalog", "petersen"],
         ["--budget", "0", "solve", "--catalog", "petersen"],
         ["--budget", "-5", "solve", "--catalog", "petersen"],

@@ -13,9 +13,9 @@ from hamvt import (BudgetExhausted, Graph, HamiltonCertificate,
 from hamvt.fixtures import s6_on_s4_cosets
 from hamvt.hamilton import _Search, contract_triangles
 from hamvt.products import catalog, truncate_cubic
-from oracles import (ChainFreeSearch, LoadFreeSearch, ReferenceSearch,
-                     held_karp_cycle, jackson_condition,
-                     naive_hamilton_cycle, naive_hamilton_path)
+from oracles import (LoadFreeSearch, ReferenceSearch, held_karp_cycle,
+                     jackson_condition, naive_hamilton_cycle,
+                     naive_hamilton_path)
 
 SMALL_CORPUS = [
     "petersen", "crown:3", "crown:4", "crown:5",
@@ -184,7 +184,7 @@ def sparse_graph(rng: random.Random) -> Graph:
     time in five, else a random one on at most 14 vertices; half the
     time its truncation instead if it has at most 10 vertices; one time
     in three it loses an edge.  Vertices with two usable neighbours, and
-    so forced chains, are common here."""
+    so forced edges, are common here."""
     if rng.random() < 0.2:
         X = catalog("petersen")
     else:
@@ -213,8 +213,8 @@ def run(search) -> tuple[list, int, bool]:
 
 class TestIncrementalPrune:
     """The per-node local prune makes the same search as the reference,
-    which recomputes the whole prune, forced chains included, at every
-    node."""
+    which recomputes the whole prune, forced-edge loads included, at
+    every node."""
 
     @pytest.mark.parametrize("mode", ["cycle", "path", "all"])
     def test_matches_full_sweep_reference(self, mode):
@@ -245,17 +245,6 @@ def same_cycles(X: Graph, without) -> int:
     if X.n <= 14:  # got is the cycle-mode run
         assert bool(got[0]) == held_karp_cycle(X)
     return saved
-
-
-class TestForcedChainRule:
-    """The forced-chain rule cuts only subtrees without a Hamilton
-    cycle: the search without it finds the same cycles, in the same
-    order, and so does the Held-Karp DP."""
-
-    def test_same_cycles_as_chain_free_search(self):
-        rng = random.Random("chains")
-        assert sum(same_cycles(sparse_graph(rng), ChainFreeSearch)
-                   for _ in range(100)) > 0
 
 
 def truncation_family(rng: random.Random) -> Graph:
@@ -386,6 +375,22 @@ class TestForcedEdgeLoad:
     def test_relabelled_vertex_transitive(self, name):
         for seed in (1, 2):
             same_cycles(relabelled(catalog(name), seed), LoadFreeSearch)
+
+    def test_chain_ends_meeting_at_a_hub(self):
+        # two triangles joined by the edge 3-4: the forced vertices 1 and
+        # 2 make a chain with both ends at 3, cut only once 3 is the end
+        X = Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (0, 4), (0, 5),
+                                 (4, 5), (3, 4)])
+        assert not held_karp_cycle(X)
+        res = find_hamilton_cycle(X)
+        assert (res.status, res.nodes) == ("none", 4)
+
+    def test_pendant_neighbour_of_the_start(self):
+        # at the root the pendant 3 counts as forced: it is the only
+        # candidate, and the node after it dies
+        X = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert run(_Search(X, "all", 100)) == ([], 2, False)
+        assert run(ReferenceSearch(X, "all", 100)) == ([], 2, False)
 
 
 class TestNodeCounts:

@@ -219,7 +219,7 @@ class TestAnalyze:
 
     def test_semiregular_not_found_above_the_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "find_semiregular", lambda *a, **k: None)
-        monkeypatch.setattr(pipeline, "SEMIREGULAR_EXHAUSTIVE_CAP", 1)
+        monkeypatch.setattr(perms, "SEMIREGULAR_EXHAUSTIVE_CAP", 1)
         rep = analyze(catalog("petersen"), catalog_gens("petersen"))
         outcomes = {s["strategy"]: s["outcome"] for s in rep.strategy_trace}
         assert outcomes["lift_p2"] == ("no semiregular element found in "
