@@ -50,9 +50,12 @@ def _load_graph(args) -> Graph:
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as f:
-            f.write(text + "\n")
+    if path := getattr(args, "json_out", None):
+        try:
+            with open(path, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:  # a directory, a missing parent, no permission
+            raise MalformedInput(f"cannot write {path}: {e.strerror or e}")
     print(text)
 
 
@@ -93,9 +96,7 @@ def _cmd_field(args) -> int:
     F = field_make(args.k)
     m = args.m if args.m is not None else quad_irreducible_m(F)
     exp, log = F.tables()
-    # (c, y) -> (c u^3, y / u) maps solutions onto solutions, so a count
-    # depends only on the cube class log(c) mod gcd(3, q - 1), which
-    # theta^i represents
+    # a count depends only on the cube class of c (see count_eq2)
     by_class = [count_eq2(F, m, exp[i]) for i in range(gcd(3, F.q - 1))]
     rows = []
     for c in range(1, F.q):

@@ -3,7 +3,8 @@
 Elements are k-bit integers in the polynomial basis.  The modulus is the
 lexicographically least irreducible degree-k polynomial whose class of x
 is primitive, and theta is that class, so every downstream constant is
-deterministic.  numpy is imported inside the functions that use it, so
+deterministic.  Tables and point counts are cached, counts once per cube
+class of c.  numpy is imported inside the functions that use it, so
 importing the package does not load it.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from math import isqrt
+from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
 from .graphs import _index
@@ -195,8 +196,9 @@ def s_group(F: GF2k, m: int) -> list[SMatrix]:
     are z and z + 1 for z read from a table of z^2 + z.
 
     Then ``_check_s_group`` runs the size, closure and order checks.
+    A float or bool m raises ``TypeError``.
     """
-    if int(_trace_of_theta_pow(F, -2 * m)) == 0:
+    if int(_trace_of_theta_pow(F, -2 * (m := _index(m)))) == 0:
         raise ReducibleQuadratic(f"x^2 + theta^{m} x + 1 has a root")
     q1 = F.q - 1
     exp, log = F.tables()
@@ -263,31 +265,48 @@ def s_matrix_order(F: GF2k, m: int, s: SMatrix) -> int:
     return o
 
 
-def count_eq2(F: GF2k, m: int, c: int) -> int:
-    """Number of (a, y) with a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0.
+@cache
+def _class_counts(F: GF2k, m: int) -> tuple[int, ...]:
+    """``count_eq2(F, m, theta^i)`` for i < gcd(3, q - 1), m in 0..q-2.
 
     Fix y and write the equation as a^2 + Ba + C = 0 with B =
     c*theta^m*y^3 and C = c^2*y^6 + 1.  y = 0 gives B = 0, C = 1 and the
     single root a = 1.  For y != 0, a = Bz turns it into z^2 + z = C/B^2,
     which has two roots when Tr(C/B^2) = 0 and none when it is 1.  The
     q - 1 nonzero y are handled at once in log space: O(q) time and
-    memory.  c = 0 raises ``ZeroC``, any other c outside 1..q-1 ``ValueError``.
+    memory per class.
     """
     import numpy as np
+    q1 = F.q - 1
+    exp, log, trace = _tables(F)
+    ly = np.arange(q1, dtype=np.int64)  # y = theta^ly
+    counts = []
+    for lc in range(gcd(3, q1)):
+        lb = lc + m + 3 * ly
+        cc = exp[(2 * lc + 6 * ly) % q1] ^ 1
+        ratio = np.zeros(q1, dtype=np.int64)  # C = 0 leaves ratio 0, trace 0
+        nz = cc != 0
+        ratio[nz] = exp[(log[cc[nz]] - 2 * lb[nz]) % q1]
+        counts.append(2 * int(np.count_nonzero(trace[ratio] == 0)) + 1)
+    return tuple(counts)
+
+
+def count_eq2(F: GF2k, m: int, c: int) -> int:
+    """Number of (a, y) with a^2 + c*theta^m*a*y^3 + c^2*y^6 + 1 = 0.
+
+    B and C of ``_class_counts`` depend on c and y only through c*y^3 and
+    c^2*y^6, both kept by (c, y) -> (c*u^3, y/u), so the count depends
+    only on the cube class log(c) mod gcd(3, q - 1): a further c of a
+    counted class costs O(1).  m is read modulo q - 1.  c = 0 raises
+    ``ZeroC``, any other c outside 1..q-1 ``ValueError``, and a float or
+    bool m or c ``TypeError``.
+    """
     if (c := _index(c)) == 0:
         raise ZeroC("c must be nonzero")
     if not 0 < c < F.q:
         raise ValueError(f"c={c} outside 1..{F.q - 1}")
-    q1 = F.q - 1
-    exp, log, trace = _tables(F)
-    ly = np.arange(q1, dtype=np.int64)  # y = theta^ly
-    lc = int(log[c])
-    lb = lc + m % q1 + 3 * ly
-    cc = exp[(2 * lc + 6 * ly) % q1] ^ 1
-    ratio = np.zeros(q1, dtype=np.int64)  # C = 0 leaves ratio 0, trace 0
-    nz = cc != 0
-    ratio[nz] = exp[(log[cc[nz]] - 2 * lb[nz]) % q1]
-    return 2 * int(np.count_nonzero(trace[ratio] == 0)) + 1
+    counts = _class_counts(F, _index(m) % (F.q - 1))
+    return counts[int(_tables(F)[1][c]) % len(counts)]
 
 
 def weil_check(N: int, q: int, d: int) -> bool:

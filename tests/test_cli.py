@@ -304,6 +304,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "cannot read" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("target", ["", "missing/r.json"])
+    def test_json_out_unwritable_is_input_error(self, target, tmp_path,
+                                                capsys):
+        # a directory was an IsADirectoryError, an internal error
+        out = str(tmp_path / target)
+        assert main(["--json-out", out, "catalog", "petersen"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "internal error" not in err
+
     @pytest.mark.parametrize("argv", [
         ["--budget", "abc", "solve", "--catalog", "petersen"],
         ["--budget", "0", "solve", "--catalog", "petersen"],

@@ -6,6 +6,7 @@ import tracemalloc
 from functools import partial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -245,6 +246,19 @@ class TestCountEq2:
         with pytest.raises(TypeError):
             count_eq2(F16, quad_irreducible_m(F16), True)
 
+    @pytest.mark.parametrize("m", [1.0, True])
+    def test_non_integer_m_rejected(self, m):
+        # a float m was a numpy IndexError, and True was read as 1
+        with pytest.raises(TypeError):
+            count_eq2(F16, m, 3)
+        with pytest.raises(TypeError):
+            s_group(F16, m)
+
+    def test_numpy_integer_m_accepted(self):
+        m = quad_irreducible_m(F16)
+        assert count_eq2(F16, np.int64(m), 3) == count_eq2(F16, m, 3)
+        assert s_group(F16, np.int64(m)) == s_group(F16, m)
+
     def test_matches_scalar_loop(self):
         m = quad_irreducible_m(F16)
         for c in (1, 3, 7):
@@ -279,10 +293,33 @@ class TestCountInvariants:
             cu = F.mul(c, F.pow(u, 3))
             assert count_eq2(F, m, c) == count_eq2(F, m, cu)
 
-    def test_memory_linear_in_q(self):
-        # a q x q int64 table at k = 12 alone would be 134 MB
-        F = field_make(12)
+    def test_one_count_per_class(self):
+        # every c of GF(2^10), at m and at m shifted by q - 1, fills one
+        # cache entry, which holds the gcd(3, 1023) = 3 class counts
+        F = field_make(10)
         m = quad_irreducible_m(F)
+        gf2k._class_counts.cache_clear()
+        per_m = [[count_eq2(F, mm, c) for c in range(1, F.q)]
+                 for mm in (m, m + F.q - 1, m - F.q + 1)]
+        assert gf2k._class_counts.cache_info().misses == 1
+        assert per_m[0] == per_m[1] == per_m[2]
+        assert set(per_m[0]) == set(gf2k._class_counts(F, m))
+        assert len(gf2k._class_counts(F, m)) == 3
+
+    def test_single_class(self):
+        # gcd(3, 2047) = 1: every c is a cube, so every count is the same
+        F = field_make(11)
+        m = quad_irreducible_m(F)
+        counts = {count_eq2(F, m, c)
+                  for c in random.Random(11).sample(range(1, F.q), 64)}
+        assert len(counts) == 1 and len(gf2k._class_counts(F, m)) == 1
+
+    @pytest.mark.parametrize("k", (12, 16))
+    def test_memory_linear_in_q(self, k):
+        # a q x q int64 table at k = 12 alone would be 134 MB
+        F = field_make(k)
+        m = quad_irreducible_m(F)
+        gf2k._class_counts.cache_clear()  # a cached count allocates nothing
         tracemalloc.start()
         try:
             count_eq2(F, m, 5)
@@ -293,8 +330,9 @@ class TestCountInvariants:
 
 
 def _oracle_ms(F):
-    return sorted({0, 1} | ({brute_quad_irreducible_m(F)} if F.k >= 2
-                            else set()))
+    # m is read modulo q - 1, so q - 1, q + 4 and -1 stand for 0, 5 and q - 2
+    return sorted({0, 1, F.q - 1, F.q + 4, -1}
+                  | ({brute_quad_irreducible_m(F)} if F.k >= 2 else set()))
 
 
 class TestOracleEquivalence:
